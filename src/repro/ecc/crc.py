@@ -10,15 +10,13 @@ checksum to a payload.
 from __future__ import annotations
 
 import struct
-from typing import Tuple
-
-import numpy as np
+from typing import List, Tuple
 
 _POLY = 0x82F63B78  # CRC-32C, reflected form
 
 
-def _build_table() -> np.ndarray:
-    table = np.zeros(256, dtype=np.uint32)
+def _build_table() -> List[int]:
+    table = []
     for i in range(256):
         crc = i
         for _ in range(8):
@@ -26,10 +24,11 @@ def _build_table() -> np.ndarray:
                 crc = (crc >> 1) ^ _POLY
             else:
                 crc >>= 1
-        table[i] = crc
+        table.append(crc)
     return table
 
 
+# Python ints, not numpy scalars: the byte loop stays in plain int arithmetic.
 _TABLE = _build_table()
 
 
@@ -38,7 +37,7 @@ def crc32c(data: bytes, initial: int = 0) -> int:
     crc = initial ^ 0xFFFFFFFF
     table = _TABLE
     for byte in data:
-        crc = int(table[(crc ^ byte) & 0xFF]) ^ (crc >> 8)
+        crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8)
     return crc ^ 0xFFFFFFFF
 
 

@@ -10,11 +10,17 @@ We implement:
   with configurable column weight and rate;
 * systematic encoding via an (approximately) lower-triangular transformation
   of H (Gaussian elimination over GF(2) to derive a generator matrix);
-* soft-decision decoding with the sum-product (belief propagation) algorithm
+* soft-decision decoding with flooding min-sum belief propagation (check
+  messages scaled by 0.8, which recovers most of sum-product's accuracy)
   over log-likelihood ratios, which consumes exactly the per-voxel
   probability distributions the ML decode stack produces (Section 3.2);
 * a hard-decision fallback path (bit flipping) used when soft information
   is unavailable.
+
+Decoding runs as whole-array numpy operations over a padded edge table
+built once per code: column ``i`` of the table lists the bits of check ``i``
+in ascending order, padded with a sentinel bit ``n`` that always reads 0.
+Encoding works on rows of the generator packed into 64-bit words.
 
 The decoder reports success only if all parity checks pass; callers pair it
 with the per-sector CRC (Section 5) and escalate persistent failures to the
@@ -24,7 +30,7 @@ network-coding layers as sector erasures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -71,14 +77,28 @@ class LdpcCode:
         self.m = h_systematic.shape[0]
         self.k = self.n - self.m
         # Encoding uses the dense systematic form [A | I]: for codeword
-        # c = [u | p], H c^T = A u^T + p^T = 0 so p = A @ u.
-        self._a = h_systematic[:, : self.k]  # (m, k)
+        # c = [u | p], H c^T = A u^T + p^T = 0 so p = A @ u over GF(2).
+        # Rows of A are packed into 64-bit words, so parity bit i is the
+        # parity of (row i AND u): a few word operations per row.
+        self._a_words = _pack_words(h_systematic[:, : self.k])  # (m, ceil(k/64))
         # Decoding (BP message passing + syndrome checks) uses the ORIGINAL
         # sparse H, column-permuted to match the systematic bit order. Its
         # row space contains the systematic form, so the codeword sets agree.
         self.h = h_sparse[:, perm]
-        self._check_neighbors = [np.flatnonzero(self.h[i]) for i in range(self.h.shape[0])]
-        self._bit_neighbors = [np.flatnonzero(self.h[:, j]) for j in range(self.n)]
+        # Padded edge table, slot-major so per-check reductions run across
+        # checks: column i holds check i's bits in ascending order, then
+        # the sentinel bit n down to the widest check's degree.
+        rows, cols = np.nonzero(self.h)  # edges in check-major order
+        degree = np.bincount(rows, minlength=self.h.shape[0])
+        slot = np.arange(rows.size) - np.repeat(np.cumsum(degree) - degree, degree)
+        self._edge_cols = np.full((degree.max(), self.h.shape[0]), self.n)
+        self._edge_cols[slot, rows] = cols
+        self._edge_mask = self._edge_cols < self.n
+        # Check-major edge list: each edge's bit and its flat table slot.
+        self._edge_bits = cols
+        self._edge_slots = slot * self.h.shape[0] + rows
+        # A degree-1 check has no second minimum; it echoes min1 back.
+        self._single_edge = degree == 1
 
     @property
     def actual_rate(self) -> float:
@@ -140,8 +160,8 @@ class LdpcCode:
         data_bits = np.asarray(data_bits, dtype=np.uint8).ravel()
         if data_bits.size != self.k:
             raise ValueError(f"expected {self.k} data bits, got {data_bits.size}")
-        parity = (self._a @ data_bits) % 2
-        return np.concatenate([data_bits, parity.astype(np.uint8)])
+        row_words = np.bitwise_xor.reduce(self._a_words & _pack_words(data_bits), axis=1)
+        return np.concatenate([data_bits, _word_parity(row_words)])
 
     def extract_data(self, codeword: np.ndarray) -> np.ndarray:
         """Recover the systematic data bits from a codeword."""
@@ -149,9 +169,17 @@ class LdpcCode:
 
     def syndrome(self, codeword: np.ndarray) -> np.ndarray:
         """H @ c mod 2; all-zero iff the word is a valid codeword."""
-        return (self.h @ np.asarray(codeword, dtype=np.uint8)) % 2
+        bits = np.asarray(codeword, dtype=np.uint8)
+        if bits.shape != (self.n,):
+            raise ValueError(f"expected {self.n} bits, got shape {bits.shape}")
+        return self._syndrome(np.append(bits, np.uint8(0)))
+
+    def _syndrome(self, padded: np.ndarray) -> np.ndarray:
+        """Syndrome of a word already extended with the sentinel bit n = 0."""
+        return padded[self._edge_cols].sum(axis=0, dtype=np.uint8) & 1
 
     def is_codeword(self, codeword: np.ndarray) -> bool:
+        """True iff ``codeword`` satisfies every parity check of H."""
         return not self.syndrome(codeword).any()
 
     def decode(
@@ -159,46 +187,51 @@ class LdpcCode:
         llr: np.ndarray,
         max_iterations: int = 50,
     ) -> LdpcResult:
-        """Sum-product decode from per-bit log-likelihood ratios.
+        """Min-sum decode (flooding, 0.8-scaled) from per-bit LLRs.
 
         ``llr[j] = log(P(bit j = 0) / P(bit j = 1))`` given the channel
         observation — e.g. derived from the ML decoder's per-voxel symbol
-        posteriors. Positive LLR favours 0.
+        posteriors. Positive LLR favours 0. Returns at once, with zero
+        iterations, when the hard decision of ``llr`` is a codeword.
         """
         llr = np.asarray(llr, dtype=np.float64).ravel()
         if llr.size != self.n:
             raise ValueError(f"expected {self.n} LLRs, got {llr.size}")
-        # Messages live on edges. Represent as dicts of arrays per check.
-        # check_msgs[i] = messages from check i to each of its neighbor bits.
-        bit_to_check = [llr[nbrs].copy() for nbrs in self._check_neighbors]
-        hard = (llr < 0).astype(np.uint8)
-        if self.is_codeword(hard):
-            return LdpcResult(hard, True, 0)
-        check_to_bit = [np.zeros(len(nbrs)) for nbrs in self._check_neighbors]
+        # Slot n is the sentinel every padded edge reads: it stays 0.0 (or
+        # -0.0), so it decides 0, flips no parity and carries no sign.
+        channel = np.append(llr, 0.0)
+        hard = channel < 0
+        if not self._syndrome(hard).any():
+            return LdpcResult(hard[: self.n].astype(np.uint8), True, 0)
+        table, mask = self._edge_cols, self._edge_mask
+        checks = np.arange(table.shape[1])
+        posterior = channel
+        check_to_bit = np.zeros(table.shape)
         for iteration in range(1, max_iterations + 1):
-            # Check node update (min-sum with 0.8 scaling — near sum-product
-            # accuracy, numerically robust).
-            for i, nbrs in enumerate(self._check_neighbors):
-                msgs = bit_to_check[i]
-                signs = np.sign(msgs)
-                signs[signs == 0] = 1.0
-                total_sign = np.prod(signs)
-                mags = np.abs(msgs)
-                order = np.argsort(mags)
-                min1 = mags[order[0]]
-                min2 = mags[order[1]] if len(mags) > 1 else min1
-                out = np.where(np.arange(len(mags)) == order[0], min2, min1)
-                check_to_bit[i] = 0.8 * total_sign * signs * out
-            # Bit node update: total posterior and new extrinsic messages.
-            posterior = llr.copy()
-            for i, nbrs in enumerate(self._check_neighbors):
-                posterior[nbrs] += check_to_bit[i]
-            hard = (posterior < 0).astype(np.uint8)
-            if self.is_codeword(hard):
-                return LdpcResult(hard, True, iteration)
-            for i, nbrs in enumerate(self._check_neighbors):
-                bit_to_check[i] = posterior[nbrs] - check_to_bit[i]
-        return LdpcResult(hard, False, max_iterations)
+            # Check node update: each edge gets the product of the other
+            # edges' signs and the smallest of their magnitudes (min2 on
+            # the check's own minimum edge), scaled by 0.8. A zero message
+            # counts as positive. Ties between min1 and min2 cannot change
+            # the output: tied entries have equal magnitudes.
+            bit_to_check = posterior[table] - check_to_bit
+            signs = np.where(bit_to_check < 0, -1.0, 1.0)
+            total_sign = np.prod(signs, axis=0)
+            mags = np.where(mask, np.abs(bit_to_check), np.inf)
+            first = np.argmin(mags, axis=0)
+            min1 = mags[first, checks]
+            mags[first, checks] = np.inf
+            min2 = np.where(self._single_edge, min1, mags.min(axis=0))
+            out = np.where(mask, min1, 0.0)
+            out[first, checks] = min2
+            check_to_bit = (0.8 * total_sign) * signs * out
+            # Bit node update: the posterior adds each bit's incoming check
+            # messages in ascending check order, as a per-check loop would.
+            posterior = channel.copy()
+            np.add.at(posterior, self._edge_bits, check_to_bit.ravel()[self._edge_slots])
+            hard = posterior < 0
+            if not self._syndrome(hard).any():
+                return LdpcResult(hard[: self.n].astype(np.uint8), True, iteration)
+        return LdpcResult(hard[: self.n].astype(np.uint8), False, max_iterations)
 
     def decode_hard(self, received: np.ndarray, max_iterations: int = 50) -> LdpcResult:
         """Bit-flipping decode from hard bits (no soft information)."""
@@ -214,6 +247,21 @@ class LdpcCode:
                 break
             bits[unsat == worst] ^= 1
         return LdpcResult(bits, not self.syndrome(bits).any(), max_iterations)
+
+
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """Pack the last axis of a bit array (its values mod 2) into uint64 words."""
+    width = -(-bits.shape[-1] // 64) * 64
+    padded = np.zeros(bits.shape[:-1] + (width,), dtype=np.uint8)
+    padded[..., : bits.shape[-1]] = bits & 1
+    return np.packbits(padded, axis=-1).view(np.uint64)
+
+
+def _word_parity(words: np.ndarray) -> np.ndarray:
+    """Parity (0/1 as uint8) of the set bits of each uint64 word."""
+    for shift in (32, 16, 8, 4):
+        words = words ^ (words >> np.uint64(shift))
+    return ((np.uint64(0x6996) >> (words & np.uint64(0xF))) & np.uint64(1)).astype(np.uint8)
 
 
 def llr_from_bit_error_prob(bits: np.ndarray, p: float) -> np.ndarray:

@@ -3,8 +3,8 @@
 The write path of Section 3/5 in one object: a sector payload gets a CRC-32C
 appended, is LDPC-encoded, and the codeword bits are modulated onto voxel
 symbols. The read path consumes per-voxel symbol posteriors (from the ML
-decode stack or the analytic channel), converts them to bit LLRs, runs
-belief-propagation, and checks the CRC.
+decode stack or the analytic channel), converts them to bit LLRs, runs the
+min-sum LDPC decoder, and checks the CRC.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ class SectorDecodeResult:
 
     @property
     def success(self) -> bool:
+        """True when the sector decoded and its CRC matched."""
         return self.payload is not None
 
 

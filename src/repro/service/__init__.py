@@ -8,6 +8,7 @@ technology before staged data is dropped, and the put/get/delete front end.
 
 from .frontend import (
     ArchiveService,
+    FileTooLargeError,
     RequestDeadlineExceeded,
     RetryPolicy,
     ServiceConfig,
@@ -37,6 +38,7 @@ from .verification import (
 
 __all__ = [
     "ArchiveService",
+    "FileTooLargeError",
     "GlassLedger",
     "LedgerEntry",
     "LedgerIntegrityError",

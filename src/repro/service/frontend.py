@@ -20,7 +20,6 @@ latencies) is the discrete event simulator's concern.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import secrets
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -39,19 +38,24 @@ from .verification import VerificationManager
 
 
 def _keystream(key: bytes, length: int) -> bytes:
-    """Deterministic keystream from a 32-byte key (SHA-256 in counter mode)."""
-    blocks = []
-    for counter in itertools.count():
-        if sum(len(b) for b in blocks) >= length:
-            break
-        blocks.append(hashlib.sha256(key + counter.to_bytes(8, "little")).digest())
-    return b"".join(blocks)[:length]
+    """Deterministic keystream from a 32-byte key (SHA-256 in counter mode).
+
+    Block ``i`` is ``SHA-256(key || i as 8 little-endian bytes)``; the
+    stream is the first ``length`` bytes of blocks 0, 1, 2, ...
+    """
+    blocks = -(-length // 32)
+    return b"".join(
+        hashlib.sha256(key + counter.to_bytes(8, "little")).digest()
+        for counter in range(blocks)
+    )[:length]
 
 
 def encrypt(key: bytes, data: bytes) -> bytes:
     """XOR stream cipher (stand-in for AES-CTR; symmetric)."""
     stream = _keystream(key, len(data))
-    return bytes(a ^ b for a, b in zip(data, stream))
+    return (
+        np.frombuffer(data, dtype=np.uint8) ^ np.frombuffer(stream, dtype=np.uint8)
+    ).tobytes()
 
 
 decrypt = encrypt  # XOR stream cipher is its own inverse
@@ -117,6 +121,16 @@ class RetryPolicy:
 
 class RequestDeadlineExceeded(TimeoutError):
     """A get() exhausted its retry deadline without completing."""
+
+
+class FileTooLargeError(ValueError):
+    """A put() whose ciphertext does not fit on one platter.
+
+    Raised before a platter is taken or a byte encrypted; the staged copy
+    is released, so a refused put leaves no staging entry or platter
+    behind. Files are not split across platters here. A ``ValueError``, so
+    callers that caught the write drive's refusal keep working.
+    """
 
 
 @dataclass
@@ -244,6 +258,8 @@ class ArchiveService:
 
         For simplicity of the demo path each put drains immediately to one
         platter; production batches a staging window through the packer.
+        A file whose ciphertext exceeds one platter's payload raises
+        :class:`FileTooLargeError` with nothing left staged or written.
         """
         self._clock += 1.0
         if self.tracer is not None:
@@ -259,10 +275,20 @@ class ArchiveService:
         record = self.metadata._files.get(file_id)
         version = len(record.versions) if record else 0
         # Key management: register the (new version of the) file so a key
-        # exists, then encrypt with it.
+        # exists, then encrypt with it. A seeded service hands out keys in
+        # put order, refused puts included.
+        key = self._ensure_key(file_id)
+        # The XOR cipher keeps the size: check the ciphertext fits before
+        # taking a blank platter or encrypting anything.
+        capacity = self.config.geometry.platter_payload_bytes
+        if len(data) > capacity:
+            self.staging.release(file_id)
+            raise FileTooLargeError(
+                f"file {file_id} ({len(data)} bytes) exceeds the "
+                f"{capacity}-byte payload of one platter"
+            )
         platter = self._new_platter()
         self.write_drive.load_blank(platter)
-        key = self._ensure_key(file_id)
         ciphertext = encrypt(key, data)
         extent = self.write_drive.write_file_sectors(
             platter.platter_id, file_id, ciphertext, SectorAddress(0, 0)

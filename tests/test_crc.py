@@ -20,6 +20,13 @@ class TestCrc32c:
     def test_known_vector_ascending(self):
         assert crc32c(bytes(range(32))) == 0x46DD794E
 
+    def test_check_value(self):
+        # The CRC-32C catalogue "check" value.
+        assert crc32c(b"123456789") == 0xE3069283
+
+    def test_incremental_matches_one_shot(self):
+        assert crc32c(b"56789", initial=crc32c(b"1234")) == crc32c(b"123456789")
+
     def test_single_bit_flip_detected(self):
         rng = np.random.default_rng(0)
         data = rng.integers(0, 256, 100, dtype=np.uint8).tobytes()

@@ -1,9 +1,17 @@
 """Integration tests for the archival service front end."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.service.frontend import ArchiveService, decrypt, encrypt
+from repro.service.frontend import (
+    ArchiveService,
+    FileTooLargeError,
+    _keystream,
+    decrypt,
+    encrypt,
+)
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +32,22 @@ class TestEncryption:
     def test_ciphertext_not_plaintext(self):
         key = b"k" * 32
         assert encrypt(key, b"secret bytes!") != b"secret bytes!"
+
+    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 65_536, 72_000])
+    def test_keystream_is_sha256_counter_mode(self, length):
+        key = bytes(range(32))
+        blocks = b"".join(
+            hashlib.sha256(key + counter.to_bytes(8, "little")).digest()
+            for counter in range(length // 32 + 1)
+        )
+        assert _keystream(key, length) == blocks[:length]
+
+    @pytest.mark.parametrize("data", [b"", b"x", b"odd-length payload!", bytes(range(255))])
+    def test_roundtrip_empty_and_odd_lengths(self, data):
+        key = b"q" * 32
+        ciphertext = encrypt(key, data)
+        assert isinstance(ciphertext, bytes) and len(ciphertext) == len(data)
+        assert decrypt(key, ciphertext) == data
 
 
 class TestPutGet:
@@ -61,6 +85,40 @@ class TestPutGet:
         service.put("t/sealed", b"data")
         location = service.metadata.locate("t/sealed")
         assert service._platters[location.platter_id].sealed
+
+
+class TestOversizePut:
+    def test_refused_put_leaves_no_state(self):
+        service = ArchiveService()
+        service.put("big/neighbour", b"fits")
+        capacity = service.config.geometry.platter_payload_bytes
+        staged, platters = service.staging.count, len(service._platters)
+        written = service.write_drive.stats.sectors_written
+        with pytest.raises(FileTooLargeError):
+            service.put("big/file", b"\x01" * (capacity + 1))
+        assert service.staging.count == staged
+        assert not service.staging.contains("big/file")
+        assert len(service._platters) == platters
+        assert service.write_drive.loaded_platters() == []
+        assert service.write_drive.stats.sectors_written == written
+        with pytest.raises(KeyError):
+            service.metadata.locate("big/file")
+
+    def test_is_a_value_error_and_retry_fits(self):
+        service = ArchiveService()
+        capacity = service.config.geometry.platter_payload_bytes
+        for _ in range(2):  # the refused file is not left staged
+            with pytest.raises(ValueError, match="exceeds"):
+                service.put("big/retry", b"\x02" * (capacity + 100))
+        service.put("big/retry", b"smaller now")
+        assert service.get("big/retry") == b"smaller now"
+
+    def test_exactly_one_platter_fits(self):
+        service = ArchiveService()
+        capacity = service.config.geometry.platter_payload_bytes
+        data = np.random.default_rng(3).bytes(capacity)
+        location = service.put("big/full", data)
+        assert location.size_bytes == capacity
 
 
 class TestDeleteAndRecycle:
