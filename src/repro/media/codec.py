@@ -4,7 +4,9 @@ The write path of Section 3/5 in one object: a sector payload gets a CRC-32C
 appended, is LDPC-encoded, and the codeword bits are modulated onto voxel
 symbols. The read path consumes per-voxel symbol posteriors (from the ML
 decode stack or the analytic channel), converts them to bit LLRs, runs the
-min-sum LDPC decoder, and checks the CRC.
+min-sum LDPC decoder, and checks the CRC. LLRs are computed for a whole
+stack of sectors in one call (:meth:`SectorCodec.llrs`); LDPC and CRC
+still run one sector at a time (:meth:`SectorCodec.decode_llrs`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..ecc.crc import append_checksum, verify_checksum
-from ..ecc.ldpc import LdpcCode, llr_from_symbol_posteriors
+from ..ecc.ldpc import LdpcCode, LdpcResult, llr_from_symbol_posteriors
 from .voxel import VoxelConstellation, bits_to_symbols
 
 
@@ -90,28 +92,41 @@ class SectorCodec:
         codeword = self.code.encode(data_bits)
         return bits_to_symbols(codeword, self.constellation.bits_per_voxel)
 
+    def llrs(self, posteriors: np.ndarray) -> np.ndarray:
+        """Symbol posteriors -> per-bit LLRs, for one sector or a stack.
+
+        ``posteriors`` has shape (..., symbols_per_sector, num_symbols);
+        the result has shape (..., n), one LDPC codeword's LLRs per sector.
+        """
+        posteriors = np.asarray(posteriors)
+        lead = posteriors.shape[:-2]
+        llr = llr_from_symbol_posteriors(
+            posteriors.reshape(-1, posteriors.shape[-1]),
+            self.constellation.bits_per_voxel,
+        )
+        return llr.reshape(lead + (-1,))[..., : self.code.n]
+
+    def decode_llrs(self, llr: np.ndarray, max_iterations: int = 50) -> SectorDecodeResult:
+        """One sector's LLRs -> payload (or erasure): LDPC decode, then CRC."""
+        result = self.code.decode(llr, max_iterations=max_iterations)
+        return self._check_frame(result)
+
     def decode(self, posteriors: np.ndarray, max_iterations: int = 50) -> SectorDecodeResult:
         """Per-voxel symbol posteriors -> payload (or erasure).
 
         ``posteriors`` has shape (symbols_per_sector, num_symbols).
         """
-        llr = llr_from_symbol_posteriors(
-            posteriors, self.constellation.bits_per_voxel
-        )[: self.code.n]
-        result = self.code.decode(llr, max_iterations=max_iterations)
-        frame_bits = self.code.extract_data(result.bits)[: self._frame_bits]
-        frame = np.packbits(frame_bits).tobytes()
-        crc_ok, payload = verify_checksum(frame)
-        if not (result.success and crc_ok):
-            return SectorDecodeResult(None, result.success, crc_ok, result.iterations)
-        return SectorDecodeResult(payload, True, True, result.iterations)
+        return self.decode_llrs(self.llrs(posteriors), max_iterations)
 
     def decode_hard(self, symbols: np.ndarray) -> SectorDecodeResult:
         """Hard-decision fallback from raw symbol decisions."""
         from .voxel import symbols_to_bits
 
         bits = symbols_to_bits(symbols, self.constellation.bits_per_voxel)[: self.code.n]
-        result = self.code.decode_hard(bits)
+        return self._check_frame(self.code.decode_hard(bits))
+
+    def _check_frame(self, result: LdpcResult) -> SectorDecodeResult:
+        """CRC-check a decoded codeword's frame and unwrap its payload."""
         frame_bits = self.code.extract_data(result.bits)[: self._frame_bits]
         frame = np.packbits(frame_bits).tobytes()
         crc_ok, payload = verify_checksum(frame)

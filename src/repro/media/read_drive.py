@@ -20,6 +20,7 @@ and scheduling state (:mod:`repro.core.sim`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import List, Optional
 
 import numpy as np
@@ -152,12 +153,16 @@ class ReadDriveModel:
         unwritten sectors. The drive does not decode (Section 3) — decoding
         happens in the disaggregated ML stack.
         """
-        images = []
-        for symbols in platter.read_track(track):
-            if symbols is None:
-                images.append(None)
-            else:
-                images.append(self.channel.observe(symbols, rng=self._rng))
+        sectors = platter.read_track(track)
+        images: List[Optional[np.ndarray]] = [None] * len(sectors)
+        written = [layer for layer, symbols in enumerate(sectors) if symbols is not None]
+        # One imaging pass per written sector, deepest first, batched over
+        # each run of equal-length sectors.
+        for _size, run in groupby(written, key=lambda layer: sectors[layer].size):
+            run = list(run)
+            stack = np.stack([sectors[layer] for layer in run])
+            for layer, image in zip(run, self.channel.observe(stack, rng=self._rng)):
+                images[layer] = image
         return images
 
     def image_sector(self, platter: Platter, track: int, layer: int) -> Optional[np.ndarray]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -38,7 +39,21 @@ class VoxelConstellation:
 
     @property
     def num_symbols(self) -> int:
+        """Constellation size: ``2**bits_per_voxel`` symbol values."""
         return 1 << self.bits_per_voxel
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """Read-only (S, 2) table of every symbol's ideal observation.
+
+        Row ``s`` is :meth:`ideal_observation` of symbol ``s``, computed
+        once per constellation; demodulation and the read channel index it
+        instead of recomputing cos/sin per voxel.
+        """
+        theta = math.pi * np.arange(self.num_symbols) / self.num_symbols
+        table = self.retardance * np.stack([np.cos(2 * theta), np.sin(2 * theta)], axis=-1)
+        table.flags.writeable = False
+        return table
 
     def azimuth(self, symbol: int) -> float:
         """Slow-axis azimuth (radians, in [0, pi)) for a symbol value."""
@@ -59,18 +74,13 @@ class VoxelConstellation:
         )
 
     def ideal_observations(self, symbols: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`ideal_observation`; returns shape (n, 2)."""
-        symbols = np.asarray(symbols)
-        theta = math.pi * symbols / self.num_symbols
-        return self.retardance * np.stack(
-            [np.cos(2 * theta), np.sin(2 * theta)], axis=-1
-        )
+        """Vectorized :meth:`ideal_observation`; returns shape (..., 2)."""
+        return self.points.take(np.asarray(symbols, dtype=np.intp), axis=0)
 
     def nearest_symbol(self, observations: np.ndarray) -> np.ndarray:
         """Hard-decision demodulation: nearest constellation point."""
         observations = np.atleast_2d(np.asarray(observations, dtype=np.float64))
-        ideals = self.ideal_observations(np.arange(self.num_symbols))  # (S, 2)
-        d2 = ((observations[:, None, :] - ideals[None, :, :]) ** 2).sum(axis=-1)
+        d2 = ((observations[:, None, :] - self.points[None, :, :]) ** 2).sum(axis=-1)
         return d2.argmin(axis=1)
 
 

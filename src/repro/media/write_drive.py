@@ -150,6 +150,16 @@ class WriteDrive:
         self.stats.sectors_written += 1
         self.stats.bytes_written += len(payload)
 
+    def unload(self, platter_id: str) -> Platter:
+        """Abort a write: take a loaded platter out without sealing it.
+
+        For a write that failed before eject; the platter is not handed
+        on as sealed media and the drive slot is free again.
+        """
+        platter = self._require_loaded(platter_id)
+        del self._loaded[platter_id]
+        return platter
+
     def eject(self, platter_id: str) -> Platter:
         """One-way eject: seal the platter (air gap) and hand it out."""
         platter = self._require_loaded(platter_id)

@@ -194,7 +194,6 @@ class ServiceConfig:
             tracks=64, layers=8, voxels_per_sector=800, sector_payload_bytes=128
         )
     )
-    sector_payload_bytes: int = 128
     ldpc_rate: float = 0.8
     channel_seed: int = 11
     retry: RetryPolicy = field(default_factory=RetryPolicy)
@@ -223,7 +222,7 @@ class ArchiveService:
         self.tracer = tracer if (tracer is not None and tracer.enabled) else None
         cfg = self.config
         self.codec = SectorCodec(
-            payload_bytes=cfg.sector_payload_bytes, ldpc_rate=cfg.ldpc_rate
+            payload_bytes=cfg.geometry.sector_payload_bytes, ldpc_rate=cfg.ldpc_rate
         )
         self.write_drive = WriteDrive(codec=self.codec)
         self.read_drive = ReadDriveModel(seed=cfg.channel_seed)
@@ -259,7 +258,10 @@ class ArchiveService:
         For simplicity of the demo path each put drains immediately to one
         platter; production batches a staging window through the packer.
         A file whose ciphertext exceeds one platter's payload raises
-        :class:`FileTooLargeError` with nothing left staged or written.
+        :class:`FileTooLargeError` with nothing left staged or written, and
+        any failure while writing unloads the platter and drops the staged
+        copy the same way. A file that fails read-back verification stays
+        staged for a later rewrite (§5) and raises ``RuntimeError``.
         """
         self._clock += 1.0
         if self.tracer is not None:
@@ -288,12 +290,21 @@ class ArchiveService:
                 f"{capacity}-byte payload of one platter"
             )
         platter = self._new_platter()
-        self.write_drive.load_blank(platter)
-        ciphertext = encrypt(key, data)
-        extent = self.write_drive.write_file_sectors(
-            platter.platter_id, file_id, ciphertext, SectorAddress(0, 0)
-        )
-        sealed = self.write_drive.eject(platter.platter_id)
+        try:
+            self.write_drive.load_blank(platter)
+            ciphertext = encrypt(key, data)
+            extent = self.write_drive.write_file_sectors(
+                platter.platter_id, file_id, ciphertext, SectorAddress(0, 0)
+            )
+            sealed = self.write_drive.eject(platter.platter_id)
+        except Exception:
+            # Nothing reached sealed glass: drop the staged copy and the
+            # half-written platter so a failed put leaves no state behind.
+            self.staging.release(file_id)
+            if platter.platter_id in self.write_drive.loaded_platters():
+                self.write_drive.unload(platter.platter_id)
+            del self._platters[platter.platter_id]
+            raise
         # Verify with the READ technology before dropping the staged copy.
         self.verifier.submit(sealed)
         report = self.verifier.verify_next()
@@ -425,42 +436,63 @@ class ArchiveService:
     def _read_extent(
         self, platter: Platter, start_track: int, start_layer: int, num_sectors: int
     ) -> bytes:
-        chunks: List[bytes] = []
+        """Image and decode an extent's sectors in serpentine order.
+
+        The sectors not yet read are imaged in one batched pass, one
+        channel pass per sector in order. When sector ``k`` of a batch
+        fails its first decode, the channel rewinds to just after pass
+        ``k``, the sector climbs the retry ladder, and batching resumes at
+        ``k + 1``: every sector sees the same noise draws and decodes as
+        when read one at a time.
+        """
+        policy = self.config.retry
+        channel = self.read_drive.channel
         addresses = extent_addresses(
             platter.geometry, SectorAddress(start_track, start_layer), num_sectors
         )
-        for address in addresses:
-            chunks.append(self._decode_sector(platter, address))
+        chunks: List[bytes] = []
+        while len(chunks) < len(addresses):
+            pending = addresses[len(chunks):]
+            stack = np.stack([platter.read_sector(address) for address in pending])
+            checkpoint = channel.checkpoint()
+            llrs = self.codec.llrs(channel.symbol_posteriors(channel.observe(stack)))
+            for k, llr in enumerate(llrs):
+                result = self.codec.decode_llrs(llr, max_iterations=policy.ldpc_iterations)
+                if not result.success:
+                    channel.rewind(checkpoint, passes=k + 1, voxels=stack.shape[1])
+                    chunks.append(self._recover_sector(stack[k], pending[k], llr))
+                    break
+                chunks.append(result.payload)
         return b"".join(chunks)
 
-    def _decode_sector(self, platter: Platter, address: SectorAddress) -> bytes:
-        """One sector through the read-retry escalation ladder.
+    def _recover_sector(
+        self, symbols: np.ndarray, address: SectorAddress, llr: np.ndarray
+    ) -> bytes:
+        """Climb the read-retry ladder for a sector whose first pass failed.
 
-        Rung 0: normal imaging pass + default LDPC budget. Rung 1: re-read
-        — a fresh exposure redraws the channel noise, which clears most
-        transient sector errors. Rung 2: deeper LDPC iteration budget on
-        the last capture. Past the ladder the sector is unrecoverable in
-        place and the caller must escalate to cross-platter network coding
-        (not available in this single-library front end).
+        Rung 0, the normal imaging pass at the default LDPC budget, has
+        already failed with ``llr``. Rung 1: re-read — a fresh exposure
+        redraws the channel noise, which clears most transient sector
+        errors. Rung 2: deeper LDPC iteration budget on the last capture.
+        Past the ladder the sector is unrecoverable in place and the caller
+        must escalate to cross-platter network coding (not available in
+        this single-library front end).
         """
         policy = self.config.retry
-        symbols = platter.read_sector(address)
-        posteriors = None
-        for reread in range(policy.sector_rereads + 1):
-            observations = self.read_drive.channel.observe(symbols)
-            posteriors = self.read_drive.channel.symbol_posteriors(observations)
-            result = self.codec.decode(posteriors, max_iterations=policy.ldpc_iterations)
+        channel = self.read_drive.channel
+        for _ in range(policy.sector_rereads):
+            self.retry_stats.sector_rereads += 1
+            if self.tracer is not None:
+                self.tracer.emit(
+                    self._clock,
+                    "service.sector_reread",
+                    component="frontend",
+                    sector=str(address),
+                )
+            llr = self.codec.llrs(channel.symbol_posteriors(channel.observe(symbols)))
+            result = self.codec.decode_llrs(llr, max_iterations=policy.ldpc_iterations)
             if result.success:
                 return result.payload
-            if reread < policy.sector_rereads:
-                self.retry_stats.sector_rereads += 1
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        self._clock,
-                        "service.sector_reread",
-                        component="frontend",
-                        sector=str(address),
-                    )
         # Deeper iteration budget on the final capture.
         self.retry_stats.deep_decodes += 1
         if self.tracer is not None:
@@ -471,9 +503,7 @@ class ArchiveService:
                 sector=str(address),
                 iterations=policy.deep_ldpc_iterations,
             )
-        result = self.codec.decode(
-            posteriors, max_iterations=policy.deep_ldpc_iterations
-        )
+        result = self.codec.decode_llrs(llr, max_iterations=policy.deep_ldpc_iterations)
         if result.success:
             return result.payload
         self.retry_stats.unrecovered_sectors += 1

@@ -10,7 +10,8 @@ platter is mounted for a customer read."
 
 :class:`VerificationManager` owns the queue of freshly written platters and
 executes full-platter verification reads through the real decode path (LDPC
-+ CRC per sector), recording per-sector recoverability and LDPC margin — the
++ CRC per sector; imaging, posteriors and LLRs batched over the platter),
+recording per-sector recoverability and LDPC margin — the
 signals Section 5 uses to declare files durably stored or send them back to
 staging.
 """
@@ -18,12 +19,13 @@ staging.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..ecc.durability import durably_stored, ldpc_margin
-from ..media.codec import SectorCodec
+from ..media.codec import SectorCodec, SectorDecodeResult
 from ..media.geometry import SectorAddress, extent_addresses
 from ..media.platter import Platter
 from ..media.read_drive import ReadDriveModel
@@ -51,6 +53,7 @@ class PlatterVerificationReport:
 
     @property
     def sector_failure_rate(self) -> float:
+        """Share of checked sectors that failed verification (0 if none)."""
         if self.sectors_checked == 0:
             return 0.0
         return self.sectors_failed / self.sectors_checked
@@ -78,6 +81,7 @@ class VerificationManager:
 
     @property
     def pending(self) -> int:
+        """Platters queued and not yet verified."""
         return len(self._queue)
 
     def submit(self, platter: Platter) -> None:
@@ -102,46 +106,48 @@ class VerificationManager:
         margin; unrecoverable sectors mark their file for re-staging.
         """
         verdicts: List[SectorVerdict] = []
-        failed_addresses: Set[Tuple[int, int]] = set()
-        checked = 0
-        failed = 0
-        for track in platter.written_tracks():
-            for layer, symbols in enumerate(platter.read_track(track)):
-                if symbols is None:
-                    continue
-                checked += 1
-                address = SectorAddress(track, layer)
-                observations = self.drive.channel.observe(symbols)
-                posteriors = self.drive.channel.symbol_posteriors(observations)
-                result = self.codec.decode(posteriors)
-                # Margin proxy: how far below the iteration budget the
-                # decoder converged (fast convergence = wide margin).
-                if result.success:
-                    margin = ldpc_margin(
-                        observed_bit_error_rate=max(result.iterations, 1) / 50.0 * 0.01,
-                        correctable_bit_error_rate=0.01,
-                    )
-                else:
-                    margin = 0.0
-                recoverable = result.success and durably_stored(
-                    margin, safety_factor=self.margin_safety_factor
-                )
-                if not recoverable:
-                    failed += 1
-                    failed_addresses.add((address.track, address.layer))
-                verdicts.append(
-                    SectorVerdict(address, recoverable, result.iterations, margin)
-                )
-        failed_files = self._files_touching(platter, failed_addresses)
+        written = [
+            (SectorAddress(track, layer), symbols)
+            for track in platter.written_tracks()
+            for layer, symbols in enumerate(platter.read_track(track))
+            if symbols is not None
+        ]
+        channel = self.drive.channel
+        # One imaging pass per sector in platter order, batched over each
+        # run of equal-length sectors (a codec-written platter is one run).
+        for _length, run in groupby(written, key=lambda item: item[1].size):
+            run = list(run)
+            stack = np.stack([symbols for _address, symbols in run])
+            llrs = self.codec.llrs(channel.symbol_posteriors(channel.observe(stack)))
+            for (address, _symbols), llr in zip(run, llrs):
+                verdicts.append(self._verdict(address, self.codec.decode_llrs(llr)))
+        failed = {(v.address.track, v.address.layer) for v in verdicts if not v.recoverable}
+        failed_files = self._files_touching(platter, failed)
         report = PlatterVerificationReport(
             platter_id=platter.platter_id,
-            sectors_checked=checked,
-            sectors_failed=failed,
+            sectors_checked=len(verdicts),
+            sectors_failed=len(failed),
             verdicts=verdicts,
             failed_files=failed_files,
         )
         self.reports.append(report)
         return report
+
+    def _verdict(self, address: SectorAddress, result: SectorDecodeResult) -> SectorVerdict:
+        """Recoverability and LDPC margin of one decoded sector."""
+        # Margin proxy: how far below the iteration budget the decoder
+        # converged (fast convergence = wide margin).
+        if result.success:
+            margin = ldpc_margin(
+                observed_bit_error_rate=max(result.iterations, 1) / 50.0 * 0.01,
+                correctable_bit_error_rate=0.01,
+            )
+        else:
+            margin = 0.0
+        recoverable = result.success and durably_stored(
+            margin, safety_factor=self.margin_safety_factor
+        )
+        return SectorVerdict(address, recoverable, result.iterations, margin)
 
     def _files_touching(
         self, platter: Platter, failed: Set[Tuple[int, int]]

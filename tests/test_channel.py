@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.media.channel import ChannelModel, ReadChannel
+from repro.media.codec import SectorCodec
 from repro.media.voxel import VoxelConstellation
 
 
@@ -109,6 +110,28 @@ class TestPosteriors:
         channel = ReadChannel(seed=5)
         posteriors = channel.symbol_posteriors(np.zeros((1, 2)), noise_sigma=0.2)
         assert posteriors[0].max() < 0.5  # equidistant from all four symbols
+
+    def test_zero_noise_is_the_one_hot_limit(self):
+        channel = ReadChannel(seed=6)
+        ideal = channel.constellation.ideal_observations(np.array([0, 1, 2, 3]))
+        posteriors = channel.symbol_posteriors(ideal, noise_sigma=0.0)
+        assert np.array_equal(posteriors, np.eye(4))
+        # The origin is equidistant from all four points: ties split evenly.
+        tie = channel.symbol_posteriors(np.zeros((1, 2)), noise_sigma=0.0)
+        assert np.array_equal(tie, np.full((1, 4), 0.25))
+
+    def test_negative_noise_sigma_rejected(self):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            ReadChannel().symbol_posteriors(np.zeros((1, 2)), noise_sigma=-0.1)
+
+    def test_zero_noise_channel_round_trips_a_sector(self):
+        codec = SectorCodec(payload_bytes=64)
+        channel = ReadChannel(ChannelModel(sensor_noise_sigma=0.0), seed=8)
+        payload = bytes(range(64))
+        posteriors = channel.symbol_posteriors(channel.observe(codec.encode(payload)))
+        assert not np.isnan(posteriors).any()
+        result = codec.decode(posteriors)
+        assert result.success and result.payload == payload
 
     def test_error_rate_monotone_in_noise(self):
         low = ReadChannel(model=ChannelModel(sensor_noise_sigma=0.05)).symbol_error_rate(10_000)

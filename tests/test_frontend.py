@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.media.codec import SectorDecodeResult
 from repro.service.frontend import (
     ArchiveService,
     FileTooLargeError,
@@ -12,6 +13,9 @@ from repro.service.frontend import (
     decrypt,
     encrypt,
 )
+
+
+_ERASURE = SectorDecodeResult(None, False, False, 50)
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +123,49 @@ class TestOversizePut:
         data = np.random.default_rng(3).bytes(capacity)
         location = service.put("big/full", data)
         assert location.size_bytes == capacity
+
+
+class TestPutRollback:
+    def test_codec_follows_the_geometry_sector_payload(self):
+        from repro.media.geometry import PlatterGeometry
+        from repro.service import ServiceConfig
+
+        geometry = PlatterGeometry(
+            tracks=64, layers=8, voxels_per_sector=800, sector_payload_bytes=96
+        )
+        service = ArchiveService(ServiceConfig(geometry=geometry, key_seed=1))
+        assert service.codec.payload_bytes == 96
+        data = np.random.default_rng(4).bytes(40_000)  # 417 sectors of 96 bytes
+        service.put("rb/geometry", data)
+        assert service.staging.count == 0
+        assert service.get("rb/geometry") == data
+
+    def test_failed_write_leaves_no_state(self, monkeypatch):
+        service = ArchiveService()
+        service.put("rb/neighbour", b"fits")
+        platters = dict(service._platters)
+
+        def broken_write(*_args, **_kwargs):
+            raise ValueError("laser fault")
+
+        monkeypatch.setattr(service.write_drive, "write_file_sectors", broken_write)
+        with pytest.raises(ValueError, match="laser fault"):
+            service.put("rb/file", b"never written")
+        assert service.staging.count == 0
+        assert service.write_drive.loaded_platters() == []
+        assert service._platters == platters
+        with pytest.raises(KeyError):
+            service.metadata.locate("rb/file")
+        monkeypatch.undo()
+        service.put("rb/file", b"written now")
+        assert service.get("rb/file") == b"written now"
+
+    def test_verification_failure_keeps_the_file_staged(self, monkeypatch):
+        service = ArchiveService()
+        monkeypatch.setattr(service.codec, "decode_llrs", lambda *_a, **_k: _ERASURE)
+        with pytest.raises(RuntimeError, match="remains staged"):
+            service.put("rb/unverified", b"kept for a rewrite")
+        assert service.staging.contains("rb/unverified")
 
 
 class TestDeleteAndRecycle:
