@@ -15,7 +15,7 @@ Reproduce from the command line with the ``chaos`` subcommand, e.g.::
         --shuttle-mtbf 10000 --drive-mtbf 15000 [--no-repair]
 """
 
-from repro.core.simulation import LibrarySimulation, SimConfig
+from repro.core.sim import LibrarySimulation, SimConfig
 from repro.faults import ChaosConfig, FaultModel, FaultSchedule
 from repro.workload.generator import WorkloadGenerator
 

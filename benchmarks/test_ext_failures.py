@@ -11,7 +11,7 @@ graceful tail growth.
 import pytest
 
 from repro.core.metrics import SLO_SECONDS
-from repro.core.simulation import LibrarySimulation, SimConfig
+from repro.core.sim import LibrarySimulation, SimConfig
 from repro.workload.generator import WorkloadGenerator
 
 from conftest import hours, print_series

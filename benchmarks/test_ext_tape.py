@@ -11,7 +11,7 @@ MB/s) is irrelevant on this workload — the paper's core argument.
 import pytest
 
 from repro.core.metrics import SLO_SECONDS
-from repro.core.simulation import LibrarySimulation, SimConfig
+from repro.core.sim import LibrarySimulation, SimConfig
 from repro.core.tape_baseline import TapeConfig, TapeLibrarySimulation
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.profiles import IOPS

@@ -10,7 +10,7 @@ evaluation workloads.
 
 import pytest
 
-from repro.core.simulation import LibrarySimulation, SimConfig
+from repro.core.sim import LibrarySimulation, SimConfig
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.profiles import ALL_PROFILES
 

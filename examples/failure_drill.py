@@ -11,7 +11,7 @@ nearest alive drive. The library keeps serving within the SLO throughout.
 Run:  python examples/failure_drill.py
 """
 
-from repro.core.simulation import LibrarySimulation, SimConfig
+from repro.core.sim import LibrarySimulation, SimConfig
 from repro.workload.generator import WorkloadGenerator
 
 

@@ -11,7 +11,7 @@ same IOPS-dominated trace through both simulators at matched drive counts.
 Run:  python examples/tape_vs_silica.py
 """
 
-from repro.core.simulation import LibrarySimulation, SimConfig
+from repro.core.sim import LibrarySimulation, SimConfig
 from repro.core.tape_baseline import TapeConfig, TapeLibrarySimulation
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.profiles import IOPS

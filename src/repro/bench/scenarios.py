@@ -459,9 +459,10 @@ def _dispatch_sweep_run(seed: int) -> ScenarioRun:
 
     Each cell is an independent seconds-scale IOPS run; the deterministic
     per-cell outcomes (completions, p50, dispatch pass/short-circuit/
-    assignment counters) become simulated metrics, while the wall-bound
-    events/s-vs-library-size curve goes into the artifact's ``extra``
-    block, which the comparator ignores.
+    assignment counters, events processed and the engine's push/pop/
+    cancelled-skip counters) become simulated metrics, while the
+    wall-bound events/s-vs-library-size curve goes into the artifact's
+    ``extra`` block, which the comparator ignores.
     """
     from time import perf_counter
 
@@ -505,81 +506,18 @@ def _dispatch_sweep_run(seed: int) -> ScenarioRun:
             metrics[f"{key}_dispatch_assignments"] = (
                 counters.dispatch_assignments.value
             )
-            curve.append(
-                {
-                    "num_platters": float(platters),
-                    "num_drives": float(drives),
-                    "rate_factor": rate,
-                    "events_processed": float(sim.events_processed),
-                    "wall_seconds": wall,
-                    "events_per_second": (
-                        sim.events_processed / wall if wall > 0 else 0.0
-                    ),
-                }
-            )
-        return metrics
-
-    return ScenarioRun(execute=execute, extra=lambda: {"curve": list(curve)})
-
-
-def _engine_sweep_run(seed: int) -> ScenarioRun:
-    """The engine scale sweep: scheduler backends across library sizes.
-
-    One cell per (size, backend). The deterministic per-cell outcomes —
-    completions, p50, events processed, and the engine's push/pop/
-    cancelled-skip/resize counters — become simulated metrics, so the
-    committed baseline pins both that each backend replays exactly *and*
-    that heap and calendar agree on every logic-level count (only the
-    calendar's resize count is backend-specific). The wall-bound
-    events/s-per-backend curve goes into ``extra``.
-    """
-    from time import perf_counter
-
-    from ..workload.profiles import IOPS
-
-    cells = []
-    for platters, drives in SWEEP_SIZES:
-        for backend in ("heap", "calendar"):
-            scale = BenchScale(
-                interval_hours=0.5,
-                warmup_hours=0.125,
-                cooldown_hours=0.125,
-                rate_factor=0.5,
-                num_platters=platters,
-            )
-            sim = build_library_sim(
-                IOPS,
-                scale=scale,
-                seed=seed,
-                num_drives=drives,
-                num_shuttles=drives,
-                event_scheduler=backend,
-            )
-            cells.append((platters, backend, sim))
-    curve: List[Dict[str, float]] = []
-
-    def execute() -> Dict[str, float]:
-        del curve[:]
-        metrics: Dict[str, float] = {}
-        for platters, backend, sim in cells:
-            t0 = perf_counter()
-            report = sim.run()
-            wall = perf_counter() - t0
             stats = sim.kernel.ctx.sim.scheduler_stats
-            key = f"p{platters}_{backend}"
-            metrics[f"{key}_requests_completed"] = float(report.requests_completed)
-            metrics[f"{key}_completion_p50_seconds"] = report.completions.median
             metrics[f"{key}_events_processed"] = float(sim.events_processed)
             metrics[f"{key}_engine_pushes"] = float(stats["pushes"])
             metrics[f"{key}_engine_pops"] = float(stats["pops"])
             metrics[f"{key}_engine_cancelled_skips"] = float(
                 stats["cancelled_skips"]
             )
-            metrics[f"{key}_engine_resizes"] = float(stats["resizes"])
             curve.append(
                 {
                     "num_platters": float(platters),
-                    "backend": backend,
+                    "num_drives": float(drives),
+                    "rate_factor": rate,
                     "events_processed": float(sim.events_processed),
                     "wall_seconds": wall,
                     "events_per_second": (
@@ -800,15 +738,6 @@ def default_registry() -> ScenarioRegistry:
         suite="fast",
         seed=4,
         build=lambda: _dispatch_sweep_run(seed=4),
-        repetitions=2,
-        warmup=0,
-    )
-    registry.add(
-        "engine_scale_sweep",
-        "scheduler-backend (heap vs calendar) curve over library size",
-        suite="fast",
-        seed=4,
-        build=lambda: _engine_sweep_run(seed=4),
         repetitions=2,
         warmup=0,
     )

@@ -708,12 +708,9 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
         print(result.summary())
         for row in (result.extra or {}).get("curve", []):
             # Sweep curves vary in their second axis: request rate for the
-            # dispatch sweep, scheduler backend for the engine sweep, and
-            # motion mode for the motion sweep.
+            # dispatch sweep and motion mode for the motion sweep.
             if "rate_factor" in row:
                 axis = f"rate {row['rate_factor']:.2f}"
-            elif "backend" in row:
-                axis = f"{row['backend']:>8s}"
             else:
                 axis = f"{row.get('mode', '?'):>8s}"
             print(

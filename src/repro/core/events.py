@@ -14,15 +14,11 @@ The engine is deliberately small and deterministic:
   for entities whose behaviour reads naturally as sequential code (e.g. a
   shuttle trip: move, pick, move, place).
 
-The pending-event set itself lives behind the :class:`SchedulerBackend`
-protocol (``push``/``pop``/``peek``/``cancel``). Two implementations ship:
-:class:`HeapBackend`, the binary-heap reference, and
-:class:`CalendarQueueBackend`, a self-resizing calendar (bucketed) queue in
-the style of Brown (1988). Both dequeue in exactly ``(time, seq)`` order —
-equal timestamps always land in the same calendar bucket and every bucket
-is itself a ``(time, seq)`` heap — so a run is byte-identical over either
-backend (pinned by the scheduler-equivalence hypothesis suite and the
-golden-replay matrix).
+The pending-event set is one :class:`HeapBackend`: a binary heap of
+``(time, seq, event)`` tuples, so it dequeues in exactly ``(time, seq)``
+order. A sorted-list reference engine in the hypothesis suite
+(``tests/test_properties.py``) replays random schedule/cancel/run programs
+against it and pins fire order, clock, sampler ticks and engine counters.
 """
 
 from __future__ import annotations
@@ -33,20 +29,7 @@ import threading
 from collections import deque
 from time import monotonic, perf_counter
 from time import sleep as _wall_sleep
-from typing import (
-    Any,
-    Callable,
-    Generator,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-)
-
-try:  # pragma: no cover - 3.8+ always has typing.Protocol
-    from typing import Protocol
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -103,73 +86,29 @@ class Event:
 
 
 #: Queue entries are ``(time, seq, event)`` tuples rather than Event
-#: objects so backend ordering compares plain floats/ints at C speed
+#: objects so heap ordering compares plain floats/ints at C speed
 #: instead of calling ``Event.__lt__`` (which dominated the event loop at
 #: ~2.5M calls per fig9 run before the tuple representation).
 QueueEntry = Tuple[float, int, "Event"]
 
 
-class SchedulerBackend(Protocol):
-    """The pending-event set behind :class:`Simulation`.
+class HeapBackend:
+    """The engine's pending-event set (C-speed ``heapq`` on tuples).
 
-    A backend is a priority queue over :data:`QueueEntry` tuples with one
-    hard contract: :meth:`pop` dequeues strictly in ``(time, seq)`` order
-    — byte-identical across implementations — because the whole
-    reproducibility story of the twin rests on that total order.
-    Cancellation is lazy (events carry a ``cancelled`` flag); a backend
-    MAY react to :meth:`cancel` eagerly but the reference implementations
-    simply skip flagged entries at dequeue time and count the skips.
-
-    Backends also keep four plain-int counters — ``pushes``, ``pops``,
-    ``cancelled_skips``, ``resizes`` — published by the kernel as the
-    ``sim_engine_*`` gauges. They are pure functions of the schedule/
-    cancel sequence, so they are deterministic under a pinned seed.
+    Cancellation is lazy: flagged entries are skipped at dequeue time and
+    counted. The three plain-int counters — ``pushes``, ``pops``,
+    ``cancelled_skips`` — are pure functions of the schedule/cancel
+    sequence, so they are deterministic under a pinned seed and published
+    by the kernel as the ``sim_engine_*`` gauges.
     """
 
-    pushes: int
-    pops: int
-    cancelled_skips: int
-    resizes: int
-
-    def push(self, time: float, seq: int, event: "Event") -> None:
-        """Insert an entry."""
-        ...  # pragma: no cover - protocol
-
-    def pop(self) -> Optional[QueueEntry]:
-        """Remove and return the earliest live entry, or None when empty."""
-        ...  # pragma: no cover - protocol
-
-    def peek(self) -> Optional[float]:
-        """The earliest live entry's time without removing it, or None."""
-        ...  # pragma: no cover - protocol
-
-    def cancel(self, event: "Event") -> None:
-        """Optional eager-cancellation hint (the event is already flagged)."""
-        ...  # pragma: no cover - protocol
-
-    def restore(self, entry: QueueEntry) -> None:
-        """Re-insert an entry just popped (run-loop horizon backtrack)."""
-        ...  # pragma: no cover - protocol
-
-    def __len__(self) -> int:
-        """Entries held, stale (cancelled-but-unskipped) ones included."""
-        ...  # pragma: no cover - protocol
-
-
-class HeapBackend:
-    """The binary-heap reference backend (C-speed ``heapq`` on tuples)."""
-
-    name = "heap"
-
-    __slots__ = ("_heap", "pushes", "pops", "cancelled_skips", "resizes")
+    __slots__ = ("_heap", "pushes", "pops", "cancelled_skips")
 
     def __init__(self) -> None:
         self._heap: List[QueueEntry] = []
         self.pushes = 0
         self.pops = 0
         self.cancelled_skips = 0
-        #: Heaps never resize; the counter exists for the shared protocol.
-        self.resizes = 0
 
     def __len__(self) -> int:
         """Entries held, stale ones included."""
@@ -208,257 +147,6 @@ class HeapBackend:
             return heap[0][0]
         return None
 
-    def cancel(self, event: Event) -> None:
-        """Lazy backend: nothing to do (the flag is checked at dequeue)."""
-
-
-class CalendarQueueBackend:
-    """A self-resizing calendar queue (Brown 1988) with exact tie order.
-
-    The pending set is a ring of ``nbuckets`` buckets of width ``width``
-    seconds; an entry at time ``t`` lives in bucket ``(t // width) %
-    nbuckets``. Dequeue scans the ring from the last-dequeued time's
-    bucket, taking the first head that falls inside the bucket's current
-    "year" window — O(1) amortized when occupancy is balanced — and falls
-    back to a direct min-scan when a whole year is empty.
-
-    Two choices make the fire order *byte-identical* to the heap
-    reference rather than merely time-ordered:
-
-    * every bucket is itself a ``(time, seq)`` heap, and
-    * equal timestamps always map to the same bucket,
-
-    so the global dequeue order is exactly ``(time, seq)``. The ring
-    doubles when occupancy exceeds :data:`EXPAND_FACTOR` entries per
-    bucket and halves when it drops below 1/:data:`SHRINK_FACTOR`, each
-    time re-deriving the width from the live span (a pure function of
-    content — no clocks, no RNG — so resizing is deterministic too).
-    """
-
-    name = "calendar"
-
-    #: Ring bounds: never fewer than MIN_BUCKETS, never more than
-    #: MAX_BUCKETS (beyond which the O(1) claim stops paying for memory).
-    MIN_BUCKETS = 8
-    MAX_BUCKETS = 32768
-
-    #: Mean entries per bucket that trigger a doubling.
-    EXPAND_FACTOR = 2.0
-    #: Inverse occupancy that triggers a halving (size < nbuckets / 4).
-    SHRINK_FACTOR = 4.0
-
-    __slots__ = (
-        "_buckets",
-        "_nbuckets",
-        "_width",
-        "_size",
-        "_last_time",
-        "pushes",
-        "pops",
-        "cancelled_skips",
-        "resizes",
-    )
-
-    def __init__(self, nbuckets: int = MIN_BUCKETS, width: float = 1.0) -> None:
-        self._nbuckets = max(self.MIN_BUCKETS, int(nbuckets))
-        self._width = float(width)
-        self._buckets: List[List[QueueEntry]] = [
-            [] for _ in range(self._nbuckets)
-        ]
-        self._size = 0
-        self._last_time = 0.0
-        self.pushes = 0
-        self.pops = 0
-        self.cancelled_skips = 0
-        self.resizes = 0
-
-    def __len__(self) -> int:
-        """Entries held, stale ones included."""
-        return self._size
-
-    def push(self, time: float, seq: int, event: Event) -> None:
-        """Insert an entry into its bucket's heap, expanding if crowded."""
-        self.pushes += 1
-        heapq.heappush(
-            self._buckets[int(time / self._width) % self._nbuckets],
-            (time, seq, event),
-        )
-        self._size += 1
-        if time < self._last_time:
-            # The scan invariant is ``_last_time <= min pending time``.
-            # A pop-then-restore at a run horizon advances ``_last_time``
-            # to the restored (future) entry, after which the engine may
-            # legally push an earlier event (sim.now is still behind the
-            # horizon); rewind so the scan starts early enough to see it.
-            self._last_time = time
-        if (
-            self._size > self.EXPAND_FACTOR * self._nbuckets
-            and self._nbuckets < self.MAX_BUCKETS
-        ):
-            self._resize(self._nbuckets * 2)
-
-    def restore(self, entry: QueueEntry) -> None:
-        """Re-insert a just-popped entry without counting a push."""
-        heapq.heappush(
-            self._buckets[int(entry[0] / self._width) % self._nbuckets], entry
-        )
-        self._size += 1
-
-    def pop(self) -> Optional[QueueEntry]:
-        """Earliest live entry (cancelled entries skipped and counted).
-
-        The dequeue scan is inlined rather than delegated to
-        :meth:`_pop_earliest` — this method runs once per event fired, so
-        a second method call per event is measurable engine overhead.
-        """
-        while True:
-            size = self._size
-            if size == 0:
-                return None
-            nbuckets = self._nbuckets
-            width = self._width
-            buckets = self._buckets
-            base = int(self._last_time / width)
-            index = base % nbuckets
-            year_end = (base + 1) * width
-            heappop = heapq.heappop
-            entry: Optional[QueueEntry] = None
-            for _ in range(nbuckets):
-                bucket = buckets[index]
-                if bucket and bucket[0][0] < year_end:
-                    entry = heappop(bucket)
-                    break
-                index += 1
-                if index == nbuckets:
-                    index = 0
-                year_end += width
-            if entry is None:
-                best_bucket = -1
-                best_head: Optional[QueueEntry] = None
-                for i, bucket in enumerate(buckets):
-                    if bucket and (best_head is None or bucket[0] < best_head):
-                        best_head = bucket[0]
-                        best_bucket = i
-                entry = heappop(buckets[best_bucket])
-            self._size = size = size - 1
-            self._last_time = entry[0]
-            if nbuckets > self.MIN_BUCKETS and size * self.SHRINK_FACTOR < nbuckets:
-                self._resize(nbuckets // 2)
-            if entry[2].cancelled:
-                self.cancelled_skips += 1
-                continue
-            self.pops += 1
-            return entry
-
-    def peek(self) -> Optional[float]:
-        """Time of the earliest live entry (cancelled entries discarded)."""
-        while True:
-            entry = self._pop_earliest()
-            if entry is None:
-                return None
-            if entry[2].cancelled:
-                self.cancelled_skips += 1
-                continue
-            self.restore(entry)
-            return entry[0]
-
-    def cancel(self, event: Event) -> None:
-        """Lazy backend: nothing to do (the flag is checked at dequeue)."""
-
-    def _pop_earliest(self) -> Optional[QueueEntry]:
-        """Remove the globally earliest entry, cancelled or not.
-
-        The calendar scan: starting at the last-dequeued time's bucket,
-        take the first bucket head inside its year window. Because the
-        simulation clock is monotonic (``last_time`` never exceeds any
-        pending entry), buckets visited in ring order cover strictly
-        increasing time windows, so the first qualifying head is the
-        global ``(time, seq)`` minimum. An empty full cycle (everything
-        more than a year out) falls back to a direct min-scan.
-        """
-        size = self._size
-        if size == 0:
-            return None
-        nbuckets = self._nbuckets
-        width = self._width
-        buckets = self._buckets
-        base = int(self._last_time / width)
-        index = base % nbuckets
-        year_end = (base + 1) * width
-        heappop = heapq.heappop
-        entry: Optional[QueueEntry] = None
-        for _ in range(nbuckets):
-            bucket = buckets[index]
-            if bucket and bucket[0][0] < year_end:
-                entry = heappop(bucket)
-                break
-            index += 1
-            if index == nbuckets:
-                index = 0
-            year_end += width
-        if entry is None:
-            best_bucket = -1
-            best_head: Optional[QueueEntry] = None
-            for i, bucket in enumerate(buckets):
-                if bucket and (best_head is None or bucket[0] < best_head):
-                    best_head = bucket[0]
-                    best_bucket = i
-            entry = heappop(buckets[best_bucket])
-        # Removal bookkeeping, inlined (this runs once per dequeue):
-        # advance the scan clock and shrink a mostly-empty ring.
-        self._size = size = size - 1
-        self._last_time = entry[0]
-        if nbuckets > self.MIN_BUCKETS and size * self.SHRINK_FACTOR < nbuckets:
-            self._resize(nbuckets // 2)
-        return entry
-
-    def _resize(self, nbuckets: int) -> None:
-        """Rebuild the ring with ``nbuckets`` buckets and a re-derived width.
-
-        The new width targets :data:`EXPAND_FACTOR`/2 entries per bucket
-        over the live span of pending times — computed from queue content
-        only, so a resize at the same point of two matched runs lands on
-        the same geometry.
-        """
-        entries = [entry for bucket in self._buckets for entry in bucket]
-        self.resizes += 1
-        self._nbuckets = nbuckets
-        if len(entries) >= 2:
-            lo = min(entry[0] for entry in entries)
-            hi = max(entry[0] for entry in entries)
-            span = hi - lo
-            if span > 0.0:
-                self._width = max(span / len(entries), 1e-9)
-        buckets: List[List[QueueEntry]] = [[] for _ in range(nbuckets)]
-        width = self._width
-        for entry in entries:
-            buckets[int(entry[0] / width) % nbuckets].append(entry)
-        for bucket in buckets:
-            heapq.heapify(bucket)
-        self._buckets = buckets
-
-
-#: Backend registry behind ``SimConfig.event_scheduler`` /
-#: ``Simulation(scheduler=...)``.
-SCHEDULER_BACKENDS = {
-    "heap": HeapBackend,
-    "calendar": CalendarQueueBackend,
-}
-
-
-#: Backend used when neither ``Simulation(scheduler=...)`` nor
-#: ``SimConfig.event_scheduler`` picks one. Both backends dequeue in the
-#: same exact ``(time, seq)`` order (pinned by the equivalence suites), so
-#: this is a pure wall-time choice — and measurement keeps it on the heap:
-#: CPython's C-implemented ``heapq`` beats the pure-Python calendar scan
-#: at every pending-set size the library reaches (see the
-#: ``engine_scale_sweep`` bench curve), because the calendar's O(1)
-#: amortized hop costs interpreted bytecode while the heap's O(log n)
-#: sift runs in C. The calendar backend stays as the escape hatch for
-#: workloads with huge pending sets and as the protocol's second,
-#: equivalence-tested implementation.
-DEFAULT_SCHEDULER = "heap"
-
 
 class Simulation:
     """An event-queue discrete event simulator.
@@ -468,23 +156,10 @@ class Simulation:
         sim = Simulation()
         sim.schedule(5.0, lambda: print("five seconds in"))
         sim.run()
-
-    ``scheduler`` names the :data:`SCHEDULER_BACKENDS` entry holding the
-    pending-event set (default :data:`DEFAULT_SCHEDULER`); every backend
-    fires events in identical order, so the choice affects wall time only.
     """
 
-    def __init__(self, scheduler: Optional[str] = None) -> None:
-        if scheduler is None:
-            scheduler = DEFAULT_SCHEDULER
-        try:
-            backend_cls = SCHEDULER_BACKENDS[scheduler]
-        except KeyError:
-            raise SimulationError(
-                f"unknown event scheduler {scheduler!r} "
-                f"(choose from {sorted(SCHEDULER_BACKENDS)})"
-            ) from None
-        self._backend: SchedulerBackend = backend_cls()
+    def __init__(self) -> None:
+        self._backend = HeapBackend()
         # Bound-method shortcut: ``schedule`` runs once per event created,
         # so the extra ``_backend.push`` attribute hop is worth skipping.
         self._push = self._backend.push
@@ -530,32 +205,24 @@ class Simulation:
         return self._events_processed / self._run_wall_seconds
 
     @property
-    def scheduler(self) -> str:
-        """Name of the active scheduler backend (``heap``/``calendar``)."""
-        return self._backend.name  # type: ignore[attr-defined]
-
-    @property
     def pending(self) -> int:
         """Entries in the backend, stale (cancelled-unskipped) included."""
         return len(self._backend)
 
     @property
     def scheduler_stats(self) -> dict:
-        """Engine counters from the scheduler backend.
+        """Engine counters from the pending-event heap.
 
-        ``pushes``/``pops`` count live insertions and dequeues,
+        ``pushes``/``pops`` count live insertions and dequeues, and
         ``cancelled_skips`` counts flagged entries discarded at dequeue
-        time, and ``resizes`` counts calendar ring rebuilds (always zero
-        for the heap). All four are deterministic under a pinned seed —
-        they are published as the ``sim_engine_*`` gauges.
+        time. All three are deterministic under a pinned seed — they are
+        published as the ``sim_engine_*`` gauges.
         """
         backend = self._backend
         return {
-            "backend": backend.name,  # type: ignore[attr-defined]
             "pushes": backend.pushes,
             "pops": backend.pops,
             "cancelled_skips": backend.cancelled_skips,
-            "resizes": backend.resizes,
         }
 
     def schedule(
@@ -564,11 +231,12 @@ class Simulation:
         """Schedule ``callback`` to run ``delay`` seconds from now.
 
         Returns the :class:`Event`, which can be cancelled. ``delay`` must be
-        non-negative; zero-delay events run after already-queued events at the
-        same timestamp.
+        non-negative (NaN is rejected too: it would fire first and then run
+        the clock backwards); zero-delay events run after already-queued
+        events at the same timestamp.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        if not delay >= 0:
+            raise SimulationError(f"delay must be >= 0 (got {delay})")
         time = self._now + delay
         event = Event(time, next(self._seq), callback, label)
         self._push(time, event.seq, event)

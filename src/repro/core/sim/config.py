@@ -61,19 +61,6 @@ class SimConfig:
     # imports the tenancy package.
     fetch_policy: str = "arrival"
     tenancy: Optional[TenancyLike] = None
-    # Incremental dispatch: the dispatch subsystem maintains dirty-flagged
-    # caches (partition-cover index, drive routes, steal donors, pending
-    # returns) instead of rescanning topology on every dispatch event.
-    # False selects the per-event full-rescan reference path — byte-exact
-    # with the incremental one (pinned by the golden-replay suite) and kept
-    # for differential testing.
-    incremental_dispatch: bool = True
-    # Event-scheduler backend behind the engine's pending-event set
-    # ("heap" | "calendar"). Both fire events in exactly the same
-    # ``(time, seq)`` order (pinned by the scheduler-equivalence suites),
-    # so this is purely a wall-time knob; None defers to the engine's
-    # ``DEFAULT_SCHEDULER``.
-    event_scheduler: Optional[str] = None
     # Fine-grained shuttle motion: True (the default) schedules every trip
     # hop (move/pick/move/place) as its own event; False collapses each
     # trip into one closed-form completion event. Coarse trips draw RNG in
@@ -89,8 +76,16 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.policy not in ("silica", "sp", "ns"):
             raise ValueError(f"unknown policy {self.policy!r}")
-        if self.event_scheduler not in (None, "heap", "calendar"):
-            raise ValueError(f"unknown event scheduler {self.event_scheduler!r}")
+        if self.num_drives < 1:
+            raise ValueError(f"num_drives must be >= 1 (got {self.num_drives})")
+        if self.num_platters < 1:
+            raise ValueError(f"num_platters must be >= 1 (got {self.num_platters})")
+        # The NS baseline teleports platters, so it alone runs shuttle-less.
+        if self.num_shuttles < 1 and self.policy != "ns":
+            raise ValueError(
+                f"num_shuttles must be >= 1 under policy {self.policy!r} "
+                f"(got {self.num_shuttles})"
+            )
         if self.fetch_policy not in ("arrival", "deadline"):
             raise ValueError(f"unknown fetch policy {self.fetch_policy!r}")
         if self.fetch_policy == "deadline" and self.tenancy is None:

@@ -133,7 +133,7 @@ class SimContext:
 
     def __init__(self, config: SimConfig, tracer: Optional[TracerLike] = None):
         self.config = config
-        self.sim = Simulation(scheduler=config.event_scheduler)
+        self.sim = Simulation()
         self.tracer: Optional[TracerLike] = (
             tracer if (tracer is not None and tracer.enabled) else None
         )

@@ -13,8 +13,8 @@ SP baseline) and :class:`NoShuttleDispatch` (teleporting NS lower bound) —
 implement the :class:`~repro.core.sim.hooks.DispatchPolicy` protocol and
 are interchangeable behind it.
 
-Dispatch is *incremental* by default: the quantities a pass needs are
-maintained under dirty-flag invalidation rather than recomputed per event.
+Dispatch is *incremental*: the quantities a pass needs are maintained
+under dirty-flag invalidation rather than recomputed per event.
 
 * **Cover index** (`owner partition -> covered partitions`) — rebuilt only
   after the fault subsystem rewrites ``partition_cover`` (shuttle
@@ -26,9 +26,9 @@ maintained under dirty-flag invalidation rather than recomputed per event.
   ``partition_load``, so it is cached and invalidated exactly where the
   loads change (:meth:`DispatchSubsystem.note_enqueued` /
   :meth:`DispatchSubsystem.reduce_partition_load`).
-* **Candidate entry counts** — live entry totals for the partition and
-  global heaps (pure push/pop bookkeeping, stale entries included) let a
-  pass skip candidate probing outright when the indexes are empty.
+* **Candidate entry count** — the live entry total over the partition
+  heaps (pure push/pop bookkeeping, stale entries included) lets a pass
+  skip candidate probing outright when they are empty.
 * **Pending returns** — a counter maintained at the two transitions
   (service finishes / return assigned) lets a pass skip the all-drives
   return scan when nothing awaits return.
@@ -37,9 +37,9 @@ maintained under dirty-flag invalidation rather than recomputed per event.
   index. The dispatch *event* still fires: pending faults are released at
   that boundary first, which the short-circuit must not skip.
 
-Every cache answers exactly what the per-event rescan would have computed
-— ``SimConfig.incremental_dispatch=False`` selects the rescan reference
-path, and the golden-replay suite pins the two byte-identical.
+Every cache answers exactly what a per-event full rescan would have
+computed. That rescan survives only as a test-only reference policy in
+``tests/test_dispatch_incremental.py``, which pins the two byte-identical.
 """
 
 from __future__ import annotations
@@ -83,71 +83,53 @@ class SilicaDispatch:
         policy = robotics.policy
         assert isinstance(policy, PartitionedPolicy)
         ctx = d.ctx
-        incremental = d.incremental
         heaps = d.partition_heaps
-        if incremental:
-            # Pass-level fetch guard: with nothing queued anywhere, or no
-            # drive customer slot free anywhere, no shuttle can be handed
-            # a fetch — the only remaining pass duty is the recharge
-            # check, which the memo makes one attribute read per shuttle.
-            # (Flushing slot notes first is pure cache maintenance.)
-            if d._slot_dirty or d._free_pids is None:
-                d.free_partitions()
-            if not d._partition_entries or not d._free_pids:
-                for shuttle_sim in d.shuttle_pool():
-                    if not shuttle_sim.busy and not shuttle_sim.no_recharge_memo:
-                        d.maybe_recharge(shuttle_sim)
-                return
+        # Pass-level fetch guard: with nothing queued anywhere, or no
+        # drive customer slot free anywhere, no shuttle can be handed
+        # a fetch — the only remaining pass duty is the recharge
+        # check, which the memo makes one attribute read per shuttle.
+        # (Flushing slot notes first is pure cache maintenance.)
+        if d._slot_dirty or d._free_pids is None:
+            d.free_partitions()
+        if not d._partition_entries or not d._free_pids:
+            for shuttle_sim in d.shuttle_pool():
+                if not shuttle_sim.busy and not shuttle_sim.no_recharge_memo:
+                    d.maybe_recharge(shuttle_sim)
+            return
         # Donor ranking never changes within a pass (loads mutate in other
         # events), so compute it lazily at most once per pass.
         donors: Optional[List[int]] = None
         for shuttle_sim in d.shuttle_pool():
-            if incremental:
-                # Pool members passed the idle scan; only ``busy`` can flip
-                # mid-pass (assignments below), so one attribute check
-                # replaces the full idle re-check.
-                if shuttle_sim.busy:
-                    continue
-                if not shuttle_sim.no_recharge_memo and d.maybe_recharge(
-                    shuttle_sim
-                ):
-                    continue
-                if not d._partition_entries:
-                    # Every partition heap is empty (live entry count is
-                    # pure push/pop bookkeeping): no probe or steal can
-                    # succeed.
-                    continue
-                # Flush slot notes (an assignment below posts one for the
-                # drive it reserves), then consult the owner refcount: no
-                # free drive among this shuttle's covered partitions means
-                # no fetch can be placed — steals mount on the thief's own
-                # drives too.
-                if d._slot_dirty or d._free_pids is None:
-                    d.free_partitions()
-                shuttle = shuttle_sim.shuttle
-                if not d._free_owner_count.get(shuttle.partition):
-                    continue
-                free_pids = d._free_pids
-            else:
-                if not shuttle_sim.idle:
-                    continue
-                if d.maybe_recharge(shuttle_sim):
-                    continue
-                free_pids = None
-                shuttle = shuttle_sim.shuttle
+            # Pool members passed the idle scan; only ``busy`` can flip
+            # mid-pass (assignments below), so one attribute check
+            # replaces the full idle re-check.
+            if shuttle_sim.busy:
+                continue
+            if not shuttle_sim.no_recharge_memo and d.maybe_recharge(shuttle_sim):
+                continue
+            if not d._partition_entries:
+                # Every partition heap is empty (live entry count is
+                # pure push/pop bookkeeping): no probe or steal can
+                # succeed.
+                continue
+            # Flush slot notes (an assignment below posts one for the
+            # drive it reserves), then consult the owner refcount: no
+            # free drive among this shuttle's covered partitions means
+            # no fetch can be placed — steals mount on the thief's own
+            # drives too.
+            if d._slot_dirty or d._free_pids is None:
+                d.free_partitions()
+            shuttle = shuttle_sim.shuttle
+            if not d._free_owner_count.get(shuttle.partition):
+                continue
+            free_pids = d._free_pids
             for pid in d.covered_partitions(shuttle.partition):
-                if free_pids is not None:
-                    if pid not in free_pids:
-                        continue
-                    # ``free_pids`` membership already proves this
-                    # partition's drive exists and has a free customer
-                    # slot; the route lookup is deferred until a platter
-                    # is actually in hand (most probes find empty heaps).
-                    drive = None
-                else:
-                    drive = d.partition_drive(pid)
-                    if drive is None or not drive.customer_slot_free:
-                        continue
+                # ``free_pids`` membership already proves this partition's
+                # drive exists and has a free customer slot; the route
+                # lookup is deferred until a platter is actually in hand
+                # (most probes find empty heaps).
+                if pid not in free_pids:
+                    continue
                 # An empty heap can't yield a candidate and popping it has
                 # no side effects — skip the call on the common dry probe.
                 own_heap = heaps[pid]
@@ -168,8 +150,7 @@ class SilicaDispatch:
                             break
                 if platter is None:
                     continue
-                if drive is None:
-                    drive = d.partition_drive(pid)
+                drive = d.partition_drive(pid)
                 if stolen:
                     policy.steals += 1
                     ctx.counters.steals.inc()
@@ -299,11 +280,6 @@ class DispatchSubsystem:
         self.drive_override: Dict[int, int] = {}
         self._dispatch_scheduled = False
         self.policy: DispatchPolicy = dispatch_policy_for(ctx.config.policy)
-        #: False selects the per-event full-rescan reference path (see the
-        #: module docstring); the caches below then sit unused.
-        self.incremental: bool = getattr(
-            ctx.config, "incremental_dispatch", True
-        )
         # Dirty-flagged caches. Each is invalidated at the state transition
         # that changes its inputs and rebuilt lazily on next use:
         #   cover index   <- partition_cover     (shuttle failure/repair)
@@ -335,19 +311,18 @@ class DispatchSubsystem:
         #: The current pass's idle-shuttle scan result (see
         #: :meth:`idle_short_circuit` / :meth:`shuttle_pool`).
         self._idle_pass: Optional[List[ShuttleSim]] = None
-        # Live entry counts for the candidate indexes (stale entries
+        # Live entry count over the partition heaps (stale entries
         # included — pure heap bookkeeping, maintained by push/pop). Zero
-        # partition entries proves every partition-heap pop would miss, so
-        # a pass skips candidate probing and steal ranking entirely.
+        # proves every partition-heap pop would miss, so a pass skips
+        # candidate probing and steal ranking entirely.
         self._partition_entries = 0
-        self._global_entries = 0
         #: Drives holding a finished platter with no return assigned yet —
         #: maintained by :meth:`note_return_pending` / the assignment in
         #: :meth:`dispatch_returns` so a pass can skip the return scan.
         self.unassigned_returns = 0
         self._pending_returns: List[DriveSim] = []
         # Scan-order rank of each drive: pending returns are visited in
-        # the same order the rescan's all-drives sweep would find them.
+        # the same order an all-drives sweep would find them.
         self._drive_order: Dict[int, int] = {
             d.drive_id: i for i, d in enumerate(robotics.drives)
         }
@@ -386,9 +361,8 @@ class DispatchSubsystem:
         """True when this pass can exit before touching any index.
 
         With no idle shuttle a pass provably assigns nothing: returns,
-        recharges and fetches all require one. Only taken on the
-        incremental path — the rescan reference walks everything — and
-        counted, so the short-circuit rate is visible in the metrics.
+        recharges and fetches all require one. The exit is counted, so
+        the short-circuit rate is visible in the metrics.
 
         When the pass proceeds, the scan's survivors are kept as the
         pass's shuttle pool (:meth:`shuttle_pool`): shuttles busy at the
@@ -396,8 +370,6 @@ class DispatchSubsystem:
         so iterating the pool with a live ``idle`` re-check visits exactly
         the shuttles the full scan would.
         """
-        if not self.incremental:
-            return False
         idle = [
             s
             for s in self.robotics.shuttles
@@ -414,11 +386,10 @@ class DispatchSubsystem:
     def shuttle_pool(self) -> List[ShuttleSim]:
         """Shuttles a policy pass should visit (callers re-check ``idle``).
 
-        The incremental path reuses :meth:`idle_short_circuit`'s scan —
-        order-preserving, so assignment order matches the full scan; the
-        rescan reference walks every shuttle.
+        Reuses :meth:`idle_short_circuit`'s scan — order-preserving, so
+        assignment order matches a walk over every shuttle.
         """
-        if self.incremental and self._idle_pass is not None:
+        if self._idle_pass is not None:
             return self._idle_pass
         return self.robotics.shuttles
 
@@ -429,50 +400,35 @@ class DispatchSubsystem:
     def note_return_pending(self, drive: DriveSim) -> None:
         """A drive's service finished: its platter now awaits a return trip."""
         self.unassigned_returns += 1
-        if self.incremental:
-            # The rescan reference finds pending returns by sweeping all
-            # drives, so only incremental runs feed (and drain) the list.
-            self._pending_returns.append(drive)
+        self._pending_returns.append(drive)
 
     def dispatch_returns(self) -> None:
         """Assign idle shuttles to drives with a platter awaiting return.
 
-        Incremental passes walk only the pending-return list — in drive
-        scan-order rank, so assignments land in the same order as the
-        rescan's all-drives sweep. A drive leaves the list exactly when the
-        sweep would start skipping it (``return_assigned``; the flag holds
-        until the platter is picked, after which ``awaiting_return`` is
-        gone), so list membership mirrors the sweep's filter.
+        Passes walk only the pending-return list — in drive scan-order
+        rank, so assignments land in the same order as an all-drives
+        sweep. A drive leaves the list exactly when the sweep would start
+        skipping it (``return_assigned``; the flag holds until the platter
+        is picked, after which ``awaiting_return`` is gone), so list
+        membership mirrors the sweep's filter.
         """
-        if self.incremental:
-            pending = self._pending_returns
-            if not pending:
-                return
-            if len(pending) > 1:
-                order = self._drive_order
-                pending.sort(key=lambda d: order[d.drive_id])
-            remaining: List[DriveSim] = []
-            for drive in pending:
-                shuttle = self.shuttle_for_return(drive)
-                if shuttle is None:
-                    remaining.append(drive)
-                    continue
-                drive.return_assigned = True
-                self.unassigned_returns -= 1
-                self.ctx.counters.dispatch_assignments.inc()
-                self.robotics.start_return(shuttle, drive)
-            self._pending_returns = remaining
+        pending = self._pending_returns
+        if not pending:
             return
-        for drive in self.robotics.drives:
-            if drive.awaiting_return is None or drive.return_assigned:
-                continue
+        if len(pending) > 1:
+            order = self._drive_order
+            pending.sort(key=lambda d: order[d.drive_id])
+        remaining: List[DriveSim] = []
+        for drive in pending:
             shuttle = self.shuttle_for_return(drive)
             if shuttle is None:
+                remaining.append(drive)
                 continue
             drive.return_assigned = True
             self.unassigned_returns -= 1
             self.ctx.counters.dispatch_assignments.inc()
             self.robotics.start_return(shuttle, drive)
+        self._pending_returns = remaining
 
     def shuttle_for_return(self, drive: DriveSim) -> Optional[ShuttleSim]:
         """The shuttle responsible for returning the drive's platter."""
@@ -501,25 +457,18 @@ class DispatchSubsystem:
     def push_candidate(self, platter: str, priority: float) -> None:
         """Publish a platter's fetch candidacy at the given priority.
 
-        Incremental runs push to exactly the index the active policy pops
-        — the partition heap under the partitioned policy (whose global
-        heap is never consumed, so feeding it only leaks memory), the
-        global heap otherwise. The rescan reference keeps the legacy
-        dual-push for fidelity with the pre-incremental simulator.
+        Pushes to exactly the index the active policy pops — the partition
+        heap under the partitioned policy (whose global heap is never
+        consumed, so feeding it only leaks memory), the global heap
+        otherwise.
         """
         entry = (priority, platter)
         pid = self.platter_partition.get(platter)
-        if not self.incremental:
-            heapq.heappush(self.global_heap, entry)
-            if pid is not None:
-                heapq.heappush(self.partition_heaps[pid], entry)
-            return
         if pid is not None:
             heapq.heappush(self.partition_heaps[pid], entry)
             self._partition_entries += 1
         else:
             heapq.heappush(self.global_heap, entry)
-            self._global_entries += 1
 
     def pop_candidate(self, heap: List[Tuple[float, str]]) -> Optional[str]:
         """Earliest valid pending platter from a heap (lazy invalidation).
@@ -551,11 +500,8 @@ class DispatchSubsystem:
         before = len(heap)
         chosen = pop_min_valid(heap, valid)
         removed = before - len(heap)
-        if removed:
-            if heap is self.global_heap:
-                self._global_entries -= removed
-            else:
-                self._partition_entries -= removed
+        if removed and heap is not self.global_heap:
+            self._partition_entries -= removed
         return chosen
 
     def end_service(self, platter: str) -> None:
@@ -593,13 +539,11 @@ class DispatchSubsystem:
         cached until the loads next change — every load mutation runs
         through :meth:`note_enqueued` / :meth:`reduce_partition_load`,
         which drop the cache. Loads never change *within* a pass (serves
-        and withdrawals happen in other events), so the per-shuttle calls
-        the rescan path makes all return this same list.
+        and withdrawals happen in other events), so every call in a pass
+        returns this same list.
         """
         policy = self.robotics.policy
         assert isinstance(policy, PartitionedPolicy)
-        if not self.incremental:
-            return policy.steal_candidates(self.partition_load)
         if self._steal_donors is None:
             self._steal_donors = policy.steal_candidates(self.partition_load)
         return self._steal_donors
@@ -684,10 +628,9 @@ class DispatchSubsystem:
 
         An idle shuttle drains no battery, so once a check says "no
         recharge needed" the answer holds until the shuttle next works (or
-        is repaired) — those transitions clear the memo. The rescan
-        reference re-asks robotics every pass.
+        is repaired) — those transitions clear the memo.
         """
-        if self.incremental and shuttle_sim.no_recharge_memo:
+        if shuttle_sim.no_recharge_memo:
             return False
         if self.robotics.maybe_recharge(shuttle_sim):
             return True
@@ -698,16 +641,10 @@ class DispatchSubsystem:
         """Partitions this shuttle serves: its own plus any adopted from
         failed shuttles (controller reassignment).
 
-        Incremental passes answer from the cover index; the index groups
-        ``partition_cover`` in its iteration order, so each owner's list is
-        byte-identical with the rescan's filtered scan.
+        Answers from the cover index, which groups ``partition_cover`` in
+        its iteration order, so each owner's list equals a filtered scan
+        of the cover map.
         """
-        if not self.incremental:
-            return [
-                pid
-                for pid, cover in self.partition_cover.items()
-                if cover == own_partition
-            ]
         if self._cover_dirty:
             index: Dict[int, List[int]] = {}
             for pid, cover in self.partition_cover.items():
@@ -724,8 +661,6 @@ class DispatchSubsystem:
         drive resolves to None — and every ``drive.failed`` flip runs the
         fault subsystem's rerouting, which drops this cache.
         """
-        if not self.incremental:
-            return self._route_for(pid)
         if self._routes_dirty:
             self._route_cache = {}
             self._routes_dirty = False

@@ -108,9 +108,9 @@ class SimKernel:
         """Read-only gauge snapshot of live kernel state, for samplers.
 
         Every value is computed by *reading* subsystem state — no
-        dispatch caches are touched or populated (``partition_drive`` is
-        maintained on both the incremental and rescan paths, so routing
-        reads are safe), no RNG is drawn, and no events are scheduled.
+        dispatch state is mutated (``partition_drive`` only fills its
+        route cache, which it would fill identically on the next pass), no
+        RNG is drawn, and no events are scheduled.
         That purity is what lets a monitor-on run keep its simulated
         metrics byte-identical to the monitor-off run.
         """
@@ -259,9 +259,6 @@ class SimKernel:
         m.gauge(
             "engine_cancelled_skips", "Cancelled entries discarded at dequeue"
         ).set(engine["cancelled_skips"])
-        m.gauge("engine_resizes", "Calendar-queue ring rebuilds (0 for heap)").set(
-            engine["resizes"]
-        )
         qos = None
         if self.config.tenancy is not None:
             admission = self.lifecycle.admission

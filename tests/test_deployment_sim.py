@@ -6,7 +6,7 @@ from repro.core.deployment_sim import (
     DeploymentConfig,
     DeploymentSimulation,
 )
-from repro.core.simulation import SimConfig
+from repro.core.sim import SimConfig
 from repro.workload.generator import WorkloadGenerator
 
 

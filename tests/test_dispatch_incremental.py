@@ -1,36 +1,188 @@
 """Incremental dispatch must be observationally identical to a full rescan.
 
-The incremental dispatch path (``SimConfig.incremental_dispatch=True``,
-the default) replaces per-event rescans with dirty-flagged caches: the
-cover index, drive routes, the free-partition set with per-owner
-refcounts, heap entry counts, the pending-return list, and the
-idle-shuttle short circuit. Every one of those caches is an *optimization
-contract*: the simulator's behaviour — which shuttle is assigned which
-platter on which drive, in which order — must be bit-identical with the
-naive rescan reference.
+The dispatch subsystem replaces per-event rescans with dirty-flagged
+caches: the cover index, drive routes, the free-partition set with
+per-owner refcounts, the partition-heap entry count, the pending-return
+list, and the idle-shuttle short circuit. Every one of those caches is an
+*optimization contract*: the simulator's behaviour — which shuttle is
+assigned which platter on which drive, in which order — must be
+bit-identical with the naive rescan.
 
-These tests pin that contract three ways:
+The rescan lives here, as a test-only reference:
+:class:`RescanDispatchSubsystem` overrides each cached query with the
+per-event scan it replaces, and :class:`RescanSilicaDispatch` is the
+partitioned pass without the pass-level guards. :func:`_reference_dispatch`
+swaps the subclass into the kernel for one run.
+
+These tests pin the contract four ways:
 
 * a Hypothesis property test drives randomized workloads (and therefore
   randomized enqueue / end-service / fault / repair interleavings)
-  through both modes and asserts the *assignment logs* — every
-  ``start_fetch`` and ``start_return``, with timestamps and ids — match
-  exactly, along with the full report;
+  through both and asserts the *assignment logs* — every ``start_fetch``
+  and ``start_return``, with timestamps and ids — match exactly, along
+  with the full report;
 * a regression test forces partition-cover changes *while platters are
   mid-service* (aggressive shuttle faults) — the scenario where a stale
   cover index or free-set owner refcount would silently mis-route or
   skip work;
+* golden replays compare report, structured trace and metrics export
+  across policies, under faults and with tenancy;
 * an invariant check recomputes the free-partition set and owner
   refcounts from scratch after a run and compares them with the
   incrementally maintained ones.
 """
 
+import heapq
+from contextlib import contextmanager
+from typing import List, Optional
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.sim.kernel
 from repro.core.sim import LibrarySimulation, SimConfig
+from repro.core.sim.dispatch import DispatchSubsystem
 from repro.faults import ChaosConfig, FaultModel, FaultSchedule
+from repro.observability import Tracer
+from repro.tenancy import skewed_mix
 from repro.workload.generator import WorkloadGenerator
+
+from .test_sim_golden_replay import _assert_identical
+from .test_sim_golden_replay import _trace as _golden_trace
+
+
+class RescanSilicaDispatch:
+    """The partitioned pass as a full rescan: every shuttle, every
+    covered partition, a fresh route and slot check per probe."""
+
+    name = "silica"
+
+    def run(self, d: "RescanDispatchSubsystem") -> None:
+        """Assign idle shuttles to returns, then partition fetches."""
+        robotics = d.robotics
+        d.dispatch_returns()
+        policy = robotics.policy
+        ctx = d.ctx
+        heaps = d.partition_heaps
+        donors: Optional[List[int]] = None
+        for shuttle_sim in d.shuttle_pool():
+            if not shuttle_sim.idle:
+                continue
+            if d.maybe_recharge(shuttle_sim):
+                continue
+            shuttle = shuttle_sim.shuttle
+            for pid in d.covered_partitions(shuttle.partition):
+                drive = d.partition_drive(pid)
+                if drive is None or not drive.customer_slot_free:
+                    continue
+                own_heap = heaps[pid]
+                platter = d.pop_candidate(own_heap) if own_heap else None
+                stolen = False
+                if platter is None and policy.work_stealing:
+                    if donors is None:
+                        donors = d.steal_donors()
+                    for donor in donors:
+                        if donor == pid:
+                            continue
+                        donor_heap = heaps[donor]
+                        if not donor_heap:
+                            continue
+                        platter = d.pop_candidate(donor_heap)
+                        if platter is not None:
+                            stolen = True
+                            break
+                if platter is None:
+                    continue
+                if stolen:
+                    policy.steals += 1
+                    ctx.counters.steals.inc()
+                    if ctx.tracer is not None:
+                        ctx.tracer.emit(
+                            ctx.sim.now,
+                            "sched.steal",
+                            component=f"shuttle:{shuttle.shuttle_id}",
+                            platter=platter,
+                            partition=pid,
+                        )
+                ctx.counters.dispatch_assignments.inc()
+                robotics.start_fetch(shuttle_sim, platter, drive)
+                break  # this shuttle is busy now
+
+
+class RescanDispatchSubsystem(DispatchSubsystem):
+    """Dispatch with every cache replaced by the scan it stands for."""
+
+    def __init__(self, ctx, robotics, lifecycle):
+        super().__init__(ctx, robotics, lifecycle)
+        if ctx.config.policy == "silica":
+            self.policy = RescanSilicaDispatch()
+
+    def idle_short_circuit(self):
+        """Never short-circuits: the rescan walks everything."""
+        return False
+
+    def shuttle_pool(self):
+        """Every shuttle, every pass."""
+        return self.robotics.shuttles
+
+    def note_return_pending(self, drive):
+        """Count only: returns are found by sweeping all drives."""
+        self.unassigned_returns += 1
+
+    def dispatch_returns(self):
+        """Sweep every drive for a platter awaiting an unassigned return."""
+        for drive in self.robotics.drives:
+            if drive.awaiting_return is None or drive.return_assigned:
+                continue
+            shuttle = self.shuttle_for_return(drive)
+            if shuttle is None:
+                continue
+            drive.return_assigned = True
+            self.unassigned_returns -= 1
+            self.ctx.counters.dispatch_assignments.inc()
+            self.robotics.start_return(shuttle, drive)
+
+    def push_candidate(self, platter, priority):
+        """The pre-incremental dual push: global heap and partition heap."""
+        entry = (priority, platter)
+        heapq.heappush(self.global_heap, entry)
+        pid = self.platter_partition.get(platter)
+        if pid is not None:
+            heapq.heappush(self.partition_heaps[pid], entry)
+
+    def steal_donors(self):
+        """Re-rank donors on every call."""
+        return self.robotics.policy.steal_candidates(self.partition_load)
+
+    def maybe_recharge(self, shuttle_sim):
+        """Re-ask robotics every pass (the memo is written, never read)."""
+        if self.robotics.maybe_recharge(shuttle_sim):
+            return True
+        shuttle_sim.no_recharge_memo = True
+        return False
+
+    def covered_partitions(self, own_partition):
+        """Filter the whole cover map."""
+        return [
+            pid
+            for pid, cover in self.partition_cover.items()
+            if cover == own_partition
+        ]
+
+    def partition_drive(self, pid):
+        """Resolve the route from the tables on every call."""
+        return self._route_for(pid)
+
+
+@contextmanager
+def _reference_dispatch():
+    """Kernels built inside this block dispatch through the rescan."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            repro.core.sim.kernel, "DispatchSubsystem", RescanDispatchSubsystem
+        )
+        yield
 
 
 def _trace(rate, seed):
@@ -55,7 +207,16 @@ def _chaos_schedule(config, seed, shuttle_mtbf=400.0, drive_mtbf=600.0):
     return FaultSchedule.generate(chaos, config.num_shuttles, config.num_drives)
 
 
-def _recorded_run(policy, seed, rate, incremental, faults=False):
+def _build(config, reference, tracer=None):
+    if not reference:
+        return LibrarySimulation(config, tracer=tracer)
+    with _reference_dispatch():
+        sim = LibrarySimulation(config, tracer=tracer)
+    assert isinstance(sim.kernel.dispatch, RescanDispatchSubsystem)
+    return sim
+
+
+def _recorded_run(policy, seed, rate, reference, faults=False):
     """Run one small sim and log every dispatch assignment in order."""
     config = SimConfig(
         policy=policy,
@@ -63,10 +224,9 @@ def _recorded_run(policy, seed, rate, incremental, faults=False):
         num_drives=4,
         num_shuttles=4,
         seed=seed,
-        incremental_dispatch=incremental,
     )
     trace, start, end = _trace(rate, seed)
-    sim = LibrarySimulation(config)
+    sim = _build(config, reference)
     sim.assign_trace(trace, start, end)
     if faults:
         sim.apply_fault_schedule(_chaos_schedule(config, seed))
@@ -96,12 +256,12 @@ def _recorded_run(policy, seed, rate, incremental, faults=False):
     return sim, log, report.as_dict()
 
 
-def _assert_modes_identical(policy, seed, rate, faults=False):
+def _assert_matches_reference(policy, seed, rate, faults=False):
     sim_inc, log_inc, report_inc = _recorded_run(
-        policy, seed, rate, incremental=True, faults=faults
+        policy, seed, rate, reference=False, faults=faults
     )
     _, log_ref, report_ref = _recorded_run(
-        policy, seed, rate, incremental=False, faults=faults
+        policy, seed, rate, reference=True, faults=faults
     )
     assert log_inc == log_ref
     assert report_inc == report_ref
@@ -125,8 +285,8 @@ interleaving = st.fixed_dictionaries(
 )
 @given(interleaving)
 def test_incremental_matches_rescan_order(params):
-    """Randomized interleavings: identical assignment order in both modes."""
-    _assert_modes_identical(
+    """Randomized interleavings: identical assignment order in both."""
+    _assert_matches_reference(
         params["policy"], params["seed"], params["rate"], faults=params["faults"]
     )
 
@@ -141,7 +301,7 @@ def test_cover_change_mid_service_keeps_heaps_fresh():
     scenario — it asserts shuttle faults fired and repairs happened — and
     still match the rescan byte for byte.
     """
-    sim = _assert_modes_identical("silica", seed=17, rate=0.9, faults=True)
+    sim = _assert_matches_reference("silica", seed=17, rate=0.9, faults=True)
     counters = sim.kernel.ctx.counters
     assert counters.faults_injected.value > 0
     assert counters.faults_repaired.value > 0
@@ -149,7 +309,7 @@ def test_cover_change_mid_service_keeps_heaps_fresh():
 
 def test_free_partition_set_matches_recompute():
     """The maintained free set / owner refcounts equal a fresh recompute."""
-    sim, _, _ = _recorded_run("silica", seed=3, rate=0.8, incremental=True)
+    sim, _, _ = _recorded_run("silica", seed=3, rate=0.8, reference=False)
     dispatch = sim.kernel.dispatch
     maintained = set(dispatch.free_partitions())
     expected = set()
@@ -168,7 +328,65 @@ def test_free_partition_set_matches_recompute():
 
 def test_short_circuit_counter_only_counts_incremental_fast_path():
     """The short-circuit counter stays zero on the rescan reference."""
-    sim_inc, _, _ = _recorded_run("silica", seed=5, rate=0.4, incremental=True)
-    sim_ref, _, _ = _recorded_run("silica", seed=5, rate=0.4, incremental=False)
+    sim_inc, _, _ = _recorded_run("silica", seed=5, rate=0.4, reference=False)
+    sim_ref, _, _ = _recorded_run("silica", seed=5, rate=0.4, reference=True)
     assert sim_inc.kernel.ctx.counters.dispatch_short_circuits.value > 0
     assert sim_ref.kernel.ctx.counters.dispatch_short_circuits.value == 0
+
+
+def _mode_run(config_kwargs, trace, start, end, schedule=None, reference=False):
+    tracer = Tracer()
+    simulation = _build(SimConfig(**config_kwargs), reference, tracer)
+    simulation.assign_trace(trace, start, end)
+    if schedule is not None:
+        simulation.apply_fault_schedule(schedule)
+    report = simulation.run()
+    metrics = simulation.metrics.as_dict()
+    # The short-circuit counter measures the incremental fast path itself
+    # (the rescan reference never takes it); everything else must match.
+    metrics.pop("sim_dispatch_short_circuits_total", None)
+    return report, tracer.events(), metrics
+
+
+@pytest.mark.parametrize("policy", ["silica", "sp", "ns"])
+def test_incremental_dispatch_replays_rescan(policy):
+    """Incremental dispatch is byte-equal to the full-rescan reference."""
+    kwargs = dict(policy=policy, num_platters=400, num_drives=8,
+                  num_shuttles=8, seed=5)
+    trace, start, end = _golden_trace()
+    _assert_identical(
+        _mode_run(kwargs, trace, start, end),
+        _mode_run(kwargs, trace, start, end, reference=True),
+    )
+
+
+def test_incremental_dispatch_replays_rescan_under_faults():
+    """Fault/repair-driven cover and routing rewrites replay identically."""
+    kwargs = dict(num_platters=400, num_drives=8, num_shuttles=8,
+                  transient_read_error_prob=0.02, seed=7)
+    trace, start, end = _golden_trace(seed=13)
+    chaos = ChaosConfig(
+        horizon_seconds=end + 0.1 * 3600.0,
+        shuttle=FaultModel(mtbf_seconds=900.0, mttr_seconds=120.0),
+        drive=FaultModel(mtbf_seconds=1200.0, mttr_seconds=240.0),
+        metadata=FaultModel(mtbf_seconds=1800.0, mttr_seconds=60.0),
+        seed=7,
+    )
+    schedule = FaultSchedule.generate(chaos, 8, 8)
+    _assert_identical(
+        _mode_run(kwargs, trace, start, end, schedule),
+        _mode_run(kwargs, trace, start, end, schedule, reference=True),
+    )
+
+
+def test_incremental_dispatch_replays_rescan_with_tenancy():
+    """QoS-scheduled (deadline fetch) runs replay identically."""
+    registry = skewed_mix(num_tenants=4, seed=3, total_rate_per_second=0.6,
+                          zero_quota_tenant=True)
+    trace, start, end = _golden_trace(registry=registry)
+    kwargs = dict(num_platters=400, num_drives=8, num_shuttles=8,
+                  tenancy=registry, fetch_policy="deadline", seed=3)
+    _assert_identical(
+        _mode_run(kwargs, trace, start, end),
+        _mode_run(kwargs, trace, start, end, reference=True),
+    )

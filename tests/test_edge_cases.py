@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.scheduler import RequestScheduler
 from repro.core.requests import SimRequest
-from repro.core.simulation import LibrarySimulation, SimConfig
+from repro.core.sim import LibrarySimulation, SimConfig
 from repro.media.channel import ReadChannel
 from repro.media.codec import SectorCodec
 from repro.media.geometry import PlatterGeometry, SectorAddress, extent_addresses

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.end_to_end import compose_with_decode
 from repro.core.metrics import SLO_SECONDS
-from repro.core.simulation import LibrarySimulation, SimConfig
+from repro.core.sim import LibrarySimulation, SimConfig
 from repro.workload.generator import WorkloadGenerator
 
 

@@ -45,6 +45,22 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule(-1.0, lambda: None)
 
+    def test_nan_delay_rejected(self):
+        sim = Simulation()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), lambda: None)
+        # Nothing was queued: the clock still only moves forward.
+        drain(sim)
+        assert sim.now == 1.0
+        assert sim.events_processed == 1
+
+    def test_nan_absolute_time_rejected(self):
+        sim = Simulation()
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.peek() is None
+
     def test_schedule_at_absolute_time(self):
         sim = Simulation()
         seen = []
@@ -182,6 +198,21 @@ class TestProcess:
         Process(sim, activity())
         drain(sim)
         assert times == [0.0, 2.0, 5.0]
+
+    def test_process_yielding_nan_rejected(self):
+        sim = Simulation()
+        steps = []
+
+        def body():
+            steps.append(sim.now)
+            yield float("nan")
+            steps.append(sim.now)
+
+        Process(sim, body())
+        with pytest.raises(SimulationError):
+            sim.run()
+        assert steps == [0.0]
+        assert sim.peek() is None
 
     def test_on_done_fires_at_completion_time(self):
         sim = Simulation()

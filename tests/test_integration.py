@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.simulation import LibrarySimulation, SimConfig
+from repro.core.sim import LibrarySimulation, SimConfig
 from repro.decode.training import train_decoder
 from repro.ecc.network_coding import TrackCode, TrackCodeConfig
 from repro.layout.deployment import DeploymentPlacer

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.events import Simulation, drain
+from repro.core.events import Event, Simulation, drain
 from repro.ecc.crc import append_checksum, crc32c, verify_checksum
 from repro.ecc.durability import binomial_tail
 from repro.ecc.gf256 import gf_div, gf_inv, gf_mul, gf_pow
@@ -210,8 +210,8 @@ class TestSimulationEngineProperties:
 
 #: One step of a randomized scheduler program. ``schedule`` delays are
 #: drawn from a small palette with repeats so equal timestamps (the
-#: tie-order case) arise constantly; the 1e5 outlier stretches the
-#: calendar queue's bucket span enough to force resizes.
+#: tie-order case) arise constantly; the 1e5 outlier puts far-future
+#: entries behind every ``run(until)`` horizon.
 _scheduler_ops = st.one_of(
     st.tuples(
         st.just("schedule"),
@@ -223,21 +223,90 @@ _scheduler_ops = st.one_of(
 )
 
 
+class SortedListEngine:
+    """Reference event engine: a plain list, sorted on every dequeue.
+
+    The executable spec of :class:`repro.core.events.Simulation`'s order:
+    each dequeue takes the minimum ``(time, seq)`` entry that is not
+    cancelled, discarding (and counting) the cancelled entries ahead of
+    it. ``run(until)`` dequeues the next entry and puts it back when it
+    lies past the horizon; that probe counts as a pop, as it does in the
+    engine. Samples due at or before an event fire before it, and the
+    tail up to ``until`` is sampled before the clock is pinned there.
+    """
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self.observer = None
+        self.scheduler_stats = {"pushes": 0, "pops": 0, "cancelled_skips": 0}
+        self._entries = []
+        self._seq = 0
+        self._sampler = None
+
+    def schedule(self, delay, callback, label=""):
+        event = Event(self.now + delay, self._seq, callback, label)
+        self._seq += 1
+        self._entries.append(event)
+        self.scheduler_stats["pushes"] += 1
+        return event
+
+    def set_sampler(self, interval, callback):
+        self._sampler = [self.now + interval, callback]
+
+    def _pop(self):
+        self._entries.sort(key=lambda event: (event.time, event.seq))
+        while self._entries:
+            event = self._entries.pop(0)
+            if event.cancelled:
+                self.scheduler_stats["cancelled_skips"] += 1
+                continue
+            self.scheduler_stats["pops"] += 1
+            return event
+        return None
+
+    def _sample_through(self, limit):
+        while self._sampler is not None and self._sampler[0] <= limit:
+            due, callback = self._sampler
+            self.now = max(self.now, due)
+            interval = callback(due)
+            self._sampler = None if interval is None else [due + interval, callback]
+
+    def run(self, until=None):
+        while True:
+            event = self._pop()
+            if event is None:
+                break
+            if until is not None and event.time > until:
+                self._entries.append(event)
+                break
+            self._sample_through(event.time)
+            self.now = event.time
+            self.events_processed += 1
+            event.callback()
+            if self.observer is not None:
+                self.observer(event.label, 0.0)
+        if until is not None and self.now < until:
+            self._sample_through(until)
+            self.now = until
+
+
 class TestSchedulerBackendEquivalence:
-    """Heap and calendar backends must replay any schedule/cancel/run
-    interleaving byte-identically: same fire order, same clock, same
-    sampler ticks and observer labels, same engine counters (only the
-    calendar's resize count is backend-specific)."""
+    """The heap engine must replay any schedule/cancel/run interleaving
+    exactly as the :class:`SortedListEngine` reference does: same fire
+    order, same clock, same sampler ticks and observer labels, same
+    push/pop/cancelled-skip counters — with and without an observer,
+    which selects between the engine's two run loops."""
 
     @staticmethod
-    def _execute(program, scheduler):
-        """Run ``program`` on a fresh engine; return every observable."""
-        sim = Simulation(scheduler=scheduler)
+    def _execute(program, sim, observe=True):
+        """Run ``program`` on ``sim``; return every observable."""
         log = []
         samples = []
         observed = []
         handles = []
-        sim.observer = lambda label, wall: observed.append(label)
+        if observe:
+            sim.observer = lambda label, wall: observed.append(label)
         sim.set_sampler(3.0, lambda ts: (samples.append(ts), 3.0)[1])
 
         def make_callback(uid, action):
@@ -253,8 +322,8 @@ class TestSchedulerBackendEquivalence:
                     )
                 elif action == "cancel-next":
                     # Mid-run cancellation of the earliest still-pending
-                    # handle: exercises lazy-deletion skips in both
-                    # backends at matching points in the run.
+                    # handle: exercises lazy-deletion skips at matching
+                    # points in the run.
                     for handle in handles:
                         if not handle.cancelled and handle.time >= sim.now:
                             handle.cancel()
@@ -274,43 +343,42 @@ class TestSchedulerBackendEquivalence:
                     handles[op[1] % len(handles)].cancel()
             else:  # run
                 sim.run(until=sim.now + op[1])
+                # Events fired by each horizon, not just in total: an
+                # event exactly at ``until`` must fire inside that run.
+                log.append(("run", sim.now, sim.events_processed))
         sim.run()
         return log, samples, observed, sim.now, sim.events_processed, sim.scheduler_stats
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(_scheduler_ops, min_size=1, max_size=40))
     def test_backends_replay_identically(self, program):
-        heap = self._execute(program, "heap")
-        calendar = self._execute(program, "calendar")
-        # Fire order, sampler ticks, observer labels, clock, event count.
-        assert heap[:5] == calendar[:5]
-        heap_stats, calendar_stats = heap[5], calendar[5]
-        assert heap_stats["backend"] == "heap"
-        assert calendar_stats["backend"] == "calendar"
-        for key in ("pushes", "pops", "cancelled_skips"):
-            assert heap_stats[key] == calendar_stats[key]
-        assert heap_stats["resizes"] == 0
+        reference = self._execute(program, SortedListEngine())
+        # Fire order, sampler ticks, observer labels, clock, event count
+        # and the push/pop/cancelled-skip counters.
+        assert self._execute(program, Simulation()) == reference
+        unobserved = self._execute(program, Simulation(), observe=False)
+        assert unobserved[2] == []
+        assert unobserved[:2] + unobserved[3:] == reference[:2] + reference[3:]
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(_scheduler_ops, min_size=1, max_size=25))
     def test_peek_matches_next_fire(self, program):
-        """``peek`` on either backend is exactly the next fired time."""
-        for scheduler in ("heap", "calendar"):
-            sim = Simulation(scheduler=scheduler)
-            for i, op in enumerate(program):
-                if op[0] == "schedule":
-                    sim.schedule(op[1], lambda: None)
-            fired = []
-            while True:
-                head = sim.peek()
-                if head is None:
-                    break
-                before = sim.events_processed
-                assert sim.step()
-                assert sim.now == head
-                assert sim.events_processed == before + 1
-                fired.append(head)
-            assert fired == sorted(fired)
+        """``peek`` is exactly the next fired time."""
+        sim = Simulation()
+        for i, op in enumerate(program):
+            if op[0] == "schedule":
+                sim.schedule(op[1], lambda: None)
+        fired = []
+        while True:
+            head = sim.peek()
+            if head is None:
+                break
+            before = sim.events_processed
+            assert sim.step()
+            assert sim.now == head
+            assert sim.events_processed == before + 1
+            fired.append(head)
+        assert fired == sorted(fired)
 
 
 class TestWorkloadProperties:

@@ -1,6 +1,6 @@
 """Golden replay: the facade and the composed kernel are the same machine.
 
-:class:`repro.core.simulation.LibrarySimulation` survives as a thin facade
+:class:`repro.core.sim.LibrarySimulation` survives as a thin facade
 over :class:`repro.core.sim.SimKernel`. These tests pin that equivalence
 the strongest way available: under matched seeds, a facade-driven run and
 a kernel-driven run must produce the *identical* report (every metric,
@@ -119,124 +119,6 @@ def test_skewed_assignment_replays_identically():
     kernel.lifecycle.assign_trace(trace, start, end, skew=1.2)
     assert facade.run().as_dict() == kernel.run().as_dict()
     assert tracer_f.events() == tracer_k.events()
-
-
-def _mode_run(config_kwargs, trace, start, end, schedule=None, incremental=True):
-    tracer = Tracer()
-    config = SimConfig(incremental_dispatch=incremental, **config_kwargs)
-    simulation = LibrarySimulation(config, tracer=tracer)
-    simulation.assign_trace(trace, start, end)
-    if schedule is not None:
-        simulation.apply_fault_schedule(schedule)
-    report = simulation.run()
-    metrics = simulation.metrics.as_dict()
-    # The short-circuit counter measures the incremental fast path itself
-    # (the rescan reference never takes it); everything else must match.
-    metrics.pop("sim_dispatch_short_circuits_total", None)
-    return report, tracer.events(), metrics
-
-
-@pytest.mark.parametrize("policy", ["silica", "sp", "ns"])
-def test_incremental_dispatch_replays_rescan(policy):
-    """Incremental dispatch is byte-equal to the full-rescan reference."""
-    kwargs = dict(policy=policy, num_platters=400, num_drives=8,
-                  num_shuttles=8, seed=5)
-    trace, start, end = _trace()
-    _assert_identical(
-        _mode_run(kwargs, trace, start, end, incremental=True),
-        _mode_run(kwargs, trace, start, end, incremental=False),
-    )
-
-
-def test_incremental_dispatch_replays_rescan_under_faults():
-    """Fault/repair-driven cover and routing rewrites replay identically."""
-    kwargs = dict(num_platters=400, num_drives=8, num_shuttles=8,
-                  transient_read_error_prob=0.02, seed=7)
-    trace, start, end = _trace(seed=13)
-    chaos = ChaosConfig(
-        horizon_seconds=end + 0.1 * 3600.0,
-        shuttle=FaultModel(mtbf_seconds=900.0, mttr_seconds=120.0),
-        drive=FaultModel(mtbf_seconds=1200.0, mttr_seconds=240.0),
-        metadata=FaultModel(mtbf_seconds=1800.0, mttr_seconds=60.0),
-        seed=7,
-    )
-    schedule = FaultSchedule.generate(chaos, 8, 8)
-    _assert_identical(
-        _mode_run(kwargs, trace, start, end, schedule, incremental=True),
-        _mode_run(kwargs, trace, start, end, schedule, incremental=False),
-    )
-
-
-def test_incremental_dispatch_replays_rescan_with_tenancy():
-    """QoS-scheduled (deadline fetch) runs replay identically."""
-    registry = skewed_mix(num_tenants=4, seed=3, total_rate_per_second=0.6,
-                          zero_quota_tenant=True)
-    trace, start, end = _trace(registry=registry)
-    kwargs = dict(num_platters=400, num_drives=8, num_shuttles=8,
-                  tenancy=registry, fetch_policy="deadline", seed=3)
-    _assert_identical(
-        _mode_run(kwargs, trace, start, end, incremental=True),
-        _mode_run(kwargs, trace, start, end, incremental=False),
-    )
-
-
-def _scheduler_run(config_kwargs, trace, start, end, scheduler, schedule=None):
-    tracer = Tracer()
-    config = SimConfig(event_scheduler=scheduler, **config_kwargs)
-    simulation = LibrarySimulation(config, tracer=tracer)
-    simulation.assign_trace(trace, start, end)
-    if schedule is not None:
-        simulation.apply_fault_schedule(schedule)
-    report = simulation.run()
-    metrics = simulation.metrics.as_dict()
-    # The ring-rebuild count is the one backend-specific stat (a heap
-    # never resizes); pushes/pops/cancelled-skips must match exactly.
-    metrics.pop("sim_engine_resizes", None)
-    return report, tracer.events(), metrics
-
-
-@pytest.mark.parametrize("policy", ["silica", "sp", "ns"])
-def test_scheduler_backends_replay_identically(policy):
-    """Heap and calendar backends replay every policy byte-identically."""
-    kwargs = dict(policy=policy, num_platters=400, num_drives=8,
-                  num_shuttles=8, seed=5)
-    trace, start, end = _trace()
-    _assert_identical(
-        _scheduler_run(kwargs, trace, start, end, "heap"),
-        _scheduler_run(kwargs, trace, start, end, "calendar"),
-    )
-
-
-def test_scheduler_backends_replay_identically_under_faults():
-    """Fault-heavy runs (lots of cancellations) replay across backends."""
-    kwargs = dict(num_platters=400, num_drives=8, num_shuttles=8,
-                  transient_read_error_prob=0.02, seed=7)
-    trace, start, end = _trace(seed=13)
-    chaos = ChaosConfig(
-        horizon_seconds=end + 0.1 * 3600.0,
-        shuttle=FaultModel(mtbf_seconds=900.0, mttr_seconds=120.0),
-        drive=FaultModel(mtbf_seconds=1200.0, mttr_seconds=240.0),
-        metadata=FaultModel(mtbf_seconds=1800.0, mttr_seconds=60.0),
-        seed=7,
-    )
-    schedule = FaultSchedule.generate(chaos, 8, 8)
-    _assert_identical(
-        _scheduler_run(kwargs, trace, start, end, "heap", schedule),
-        _scheduler_run(kwargs, trace, start, end, "calendar", schedule),
-    )
-
-
-def test_scheduler_backends_replay_identically_with_tenancy():
-    """QoS-scheduled (deadline fetch) runs replay across backends."""
-    registry = skewed_mix(num_tenants=4, seed=3, total_rate_per_second=0.6,
-                          zero_quota_tenant=True)
-    trace, start, end = _trace(registry=registry)
-    kwargs = dict(num_platters=400, num_drives=8, num_shuttles=8,
-                  tenancy=registry, fetch_policy="deadline", seed=3)
-    _assert_identical(
-        _scheduler_run(kwargs, trace, start, end, "heap"),
-        _scheduler_run(kwargs, trace, start, end, "calendar"),
-    )
 
 
 def _motion_run(config_kwargs, trace, start, end, fine):

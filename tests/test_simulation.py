@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.metrics import SLO_SECONDS, CompletionStats, DriveUtilization
 from repro.core.requests import SimRequest
-from repro.core.simulation import LibrarySimulation, SimConfig
+from repro.core.sim import LibrarySimulation, SimConfig
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.traces import ReadRequest, ReadTrace
 
@@ -41,6 +41,25 @@ class TestConfigValidation:
     def test_unavailability_range(self):
         with pytest.raises(ValueError):
             SimConfig(unavailable_fraction=1.0)
+
+    @pytest.mark.parametrize("policy", ["silica", "sp", "ns"])
+    @pytest.mark.parametrize("field", ["num_drives", "num_platters"])
+    def test_zero_drives_or_platters_rejected(self, policy, field):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(policy=policy, **{field: 0})
+
+    @pytest.mark.parametrize("policy", ["silica", "sp"])
+    def test_zero_shuttles_rejected_when_shuttles_move_platters(self, policy):
+        with pytest.raises(ValueError, match="num_shuttles"):
+            SimConfig(policy=policy, num_shuttles=0)
+
+    def test_ns_runs_without_shuttles(self):
+        # The NS baseline teleports platters, so it needs no shuttle.
+        sim, report = _run(
+            SimConfig(policy="ns", num_shuttles=0, num_platters=500, seed=2)
+        )
+        assert report.requests_submitted > 0
+        assert report.requests_completed == report.requests_submitted
 
     def test_track_read_bytes_includes_overhead(self):
         config = SimConfig(track_payload_bytes=20e6, nc_read_overhead=0.1)

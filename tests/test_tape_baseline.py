@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.simulation import LibrarySimulation, SimConfig
+from repro.core.sim import LibrarySimulation, SimConfig
 from repro.core.tape_baseline import TapeConfig, TapeLibrarySimulation
 from repro.workload.generator import WorkloadGenerator
 

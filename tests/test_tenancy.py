@@ -5,7 +5,7 @@ import pytest
 from repro.core.metrics import jain_index, QoSMetrics
 from repro.core.requests import SimRequest
 from repro.core.scheduler import ArrivalOrderPolicy
-from repro.core.simulation import LibrarySimulation, SimConfig
+from repro.core.sim import LibrarySimulation, SimConfig
 from repro.observability.tracer import Tracer
 from repro.tenancy import (
     BULK,
