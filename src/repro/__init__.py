@@ -25,6 +25,10 @@ Quickstart::
 Subpackages
 -----------
 
+``import repro`` loads only this module. Each subpackage loads on
+``import repro.<sub>`` (or ``from repro.<sub> import ...``), so an entry
+point pays only for what it uses.
+
 - :mod:`repro.core` — discrete event simulator, scheduler, traffic policies
 - :mod:`repro.media` — platters, voxel modulation, drives, read channel
 - :mod:`repro.ecc` — LDPC, CRC, GF(256) network coding, durability math
@@ -38,30 +42,3 @@ Subpackages
 """
 
 __version__ = "1.0.0"
-
-from . import (
-    core,
-    costs,
-    decode,
-    ecc,
-    layout,
-    library,
-    media,
-    observability,
-    service,
-    workload,
-)
-
-__all__ = [
-    "core",
-    "costs",
-    "decode",
-    "ecc",
-    "layout",
-    "library",
-    "media",
-    "observability",
-    "service",
-    "workload",
-    "__version__",
-]

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from ..workload.profiles import WorkloadProfile
 from ..workload.generator import WorkloadGenerator
@@ -31,21 +30,32 @@ from .sim import LibrarySimulation, SimConfig
 
 @dataclass(frozen=True)
 class ReplicatedMetric:
-    """Summary of one scalar across replicated runs."""
+    """Summary of one scalar across replicated runs.
+
+    ``confidence`` is the two-sided coverage of :attr:`interval` and must
+    lie strictly between 0 and 1.
+    """
 
     values: tuple
     confidence: float
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.confidence < 1.0:
+            raise ValueError(f"confidence must be in (0, 1), got {self.confidence!r}")
+
     @property
     def n(self) -> int:
+        """Number of replicated values."""
         return len(self.values)
 
     @property
     def mean(self) -> float:
+        """Sample mean of the values."""
         return float(np.mean(self.values))
 
     @property
     def std(self) -> float:
+        """Sample standard deviation (``ddof=1``); 0 for fewer than two values."""
         if self.n < 2:
             return 0.0
         return float(np.std(self.values, ddof=1))
@@ -55,11 +65,16 @@ class ReplicatedMetric:
         """Half-width of the t confidence interval around the mean."""
         if self.n < 2:
             return 0.0
-        t = scipy_stats.t.ppf(0.5 + self.confidence / 2, df=self.n - 1)
+        # Deferred: scipy costs ~0.6 s and ~65 MB to import, and nothing
+        # on a runtime path (server, CLI commands, fleet members) needs it.
+        from scipy import stats
+
+        t = stats.t.ppf(0.5 + self.confidence / 2, df=self.n - 1)
         return float(t * self.std / np.sqrt(self.n))
 
     @property
     def interval(self) -> tuple:
+        """``(low, high)`` bounds of the t confidence interval."""
         return (self.mean - self.half_width, self.mean + self.half_width)
 
     def __str__(self) -> str:
@@ -71,7 +86,13 @@ def replicate(
     seeds: Sequence[int],
     confidence: float = 0.95,
 ) -> ReplicatedMetric:
-    """Run ``run(seed)`` for each seed; summarize the returned scalar."""
+    """Run ``run(seed)`` for each seed; summarize the returned scalar.
+
+    Raises ``ValueError`` for an empty ``seeds`` or a ``confidence``
+    outside (0, 1), before running anything.
+    """
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence!r}")
     if not seeds:
         raise ValueError("need at least one seed")
     values = tuple(float(run(seed)) for seed in seeds)

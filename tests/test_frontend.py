@@ -4,11 +4,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.media.codec import SectorDecodeResult
 from repro.service.frontend import (
     ArchiveService,
     FileTooLargeError,
+    ServiceConfig,
     _keystream,
     decrypt,
     encrypt,
@@ -16,6 +19,23 @@ from repro.service.frontend import (
 
 
 _ERASURE = SectorDecodeResult(None, False, False, 50)
+
+_GEOMETRY = ServiceConfig().geometry
+_S = _GEOMETRY.sector_payload_bytes
+_P = _GEOMETRY.platter_payload_bytes
+#: file sizes at the sector (s) and platter (P) payload boundaries.
+BOUNDARY_SIZES = {
+    "empty": 0, "one": 1, "s-1": _S - 1, "s": _S, "s+1": _S + 1, "2s": 2 * _S,
+    "P-1": _P - 1, "P": _P,
+}
+#: drawn file contents: a Hypothesis-chosen head, then seeded random bytes
+#: (a whole platter is too large to draw byte by byte).
+_contents = st.tuples(st.binary(max_size=64), st.integers(0, 2**32 - 1))
+
+
+def _fill(size, contents):
+    head, seed = contents
+    return (head + np.random.default_rng(seed).bytes(size))[:size]
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +143,33 @@ class TestOversizePut:
         data = np.random.default_rng(3).bytes(capacity)
         location = service.put("big/full", data)
         assert location.size_bytes == capacity
+
+
+class TestBoundarySizes:
+    """Put/get at sector and platter payload boundaries, with drawn bytes."""
+
+    @pytest.mark.parametrize(
+        "size", list(BOUNDARY_SIZES.values()), ids=list(BOUNDARY_SIZES)
+    )
+    @settings(max_examples=3, deadline=None)
+    @given(contents=_contents, key_seed=st.integers(0, 2**16))
+    def test_round_trip_is_byte_exact(self, size, contents, key_seed):
+        service = ArchiveService(ServiceConfig(key_seed=key_seed))
+        data = _fill(size, contents)
+        location = service.put("edge/file", data)
+        assert location.size_bytes == size
+        assert service.get("edge/file") == data
+        assert service.staging.count == 0
+
+    @settings(max_examples=3, deadline=None)
+    @given(contents=_contents)
+    def test_one_byte_past_a_platter_is_refused(self, contents):
+        service = ArchiveService()
+        with pytest.raises(FileTooLargeError):
+            service.put("edge/over", _fill(_P + 1, contents))
+        assert service.write_drive.loaded_platters() == []
+        assert service._platters == {}
+        assert service.staging.count == 0
 
 
 class TestPutRollback:

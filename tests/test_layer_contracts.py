@@ -5,7 +5,9 @@ the real tree so a contract break fails the ordinary test run too, not
 just the lint job, and (b) pin the checker's own detection semantics —
 absolute imports, relative imports, and lazy imports inside functions —
 against a synthetic violating package, so the gate can't silently go
-blind.
+blind. The runtime cold-start check gets the same treatment: a synthetic
+tree shows it flags a module-scope import of a heavy package and passes a
+function-scope one.
 """
 
 import importlib.util
@@ -40,6 +42,10 @@ class TestRealTree:
 
     def test_cli_entrypoint_exits_zero(self):
         assert checker.main(["--root", _repo_src()]) == 0
+
+    def test_entry_points_leave_heavy_packages_unloaded(self):
+        assert "scipy" in checker.HEAVY_IMPORTS
+        assert checker.check_runtime_imports(_repo_src()) == []
 
     def test_seam_allowlist_stays_empty(self):
         """The kernel needs no blessed exceptions; keep it that way."""
@@ -127,3 +133,40 @@ class TestCheckerSemantics:
             str(tmp_path), "repro.core.sim", {"repro.tenancy": "x"}
         )
         assert violations and "not found" in violations[0]
+
+
+class TestRuntimeImportSemantics:
+    """The cold-start gate counts imports that run, not imports that exist."""
+
+    @pytest.fixture()
+    def heavy_tree(self, tmp_path):
+        (tmp_path / "heavy").mkdir()
+        (tmp_path / "heavy" / "__init__.py").write_text("")
+        app = tmp_path / "app"
+        app.mkdir()
+        (app / "__init__.py").write_text("")
+        (app / "eager.py").write_text("import heavy\n")
+        (app / "lazy.py").write_text("def stats():\n    import heavy\n")
+        (app / "chain.py").write_text("from . import lazy, eager\n")
+        return str(tmp_path)
+
+    def _check(self, root, *entries):
+        return checker.check_runtime_imports(
+            root, entry_points=entries, heavy={"heavy": "too slow"}
+        )
+
+    def test_module_scope_import_flagged(self, heavy_tree):
+        assert self._check(heavy_tree, "app.eager") == [
+            "import app.eager loads heavy (forbidden: too slow)"
+        ]
+
+    def test_function_scope_import_not_flagged(self, heavy_tree):
+        assert self._check(heavy_tree, "app", "app.lazy") == []
+
+    def test_first_loading_entry_point_named(self, heavy_tree):
+        violations = self._check(heavy_tree, "app.lazy", "app.chain", "app.eager")
+        assert violations == ["import app.chain loads heavy (forbidden: too slow)"]
+
+    def test_failed_import_reported(self, heavy_tree):
+        violations = self._check(heavy_tree, "app.missing")
+        assert len(violations) == 1 and "import probe failed" in violations[0]

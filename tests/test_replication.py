@@ -29,6 +29,16 @@ class TestReplicatedMetric:
         wide = ReplicatedMetric(values, confidence=0.99)
         assert wide.half_width > narrow.half_width
 
+    def test_half_width_pinned(self):
+        """Exact value of the Student-t interval; any drift is a number change."""
+        metric = ReplicatedMetric((1.0, 2.0, 4.0), 0.95)
+        assert metric.half_width == 3.7945830335967594
+
+    @pytest.mark.parametrize("confidence", [1.5, 1.0, 0.0, -0.2, float("nan")])
+    def test_confidence_outside_unit_interval_rejected(self, confidence):
+        with pytest.raises(ValueError, match="confidence"):
+            ReplicatedMetric((1.0, 2.0, 4.0), confidence)
+
     def test_str_format(self):
         metric = ReplicatedMetric((1.0, 2.0), confidence=0.95)
         assert "n=2" in str(metric)
@@ -43,6 +53,13 @@ class TestReplicate:
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
             replicate(lambda s: 0.0, [])
+
+    @pytest.mark.parametrize("confidence", [1.5, 1.0, -0.2])
+    def test_bad_confidence_rejected_before_any_run(self, confidence):
+        seen = []
+        with pytest.raises(ValueError, match="confidence"):
+            replicate(lambda seed: seen.append(seed) or 0.0, [1, 2], confidence)
+        assert seen == []
 
     def test_deterministic_run_zero_spread(self):
         metric = replicate(lambda s: 42.0, [1, 2, 3])

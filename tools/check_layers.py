@@ -16,6 +16,12 @@ The contract table is data: add a package and its forbidden prefixes to
 explicitly blessed exceptions (currently none — the kernel needs no
 special cases, and an empty allowlist is the healthiest state).
 
+A second, runtime check guards cold start. A fresh interpreter imports
+every module in ``ENTRY_POINTS`` and fails if any package named in
+``HEAVY_IMPORTS`` is then loaded. Unlike the layer contracts this one
+counts only what actually runs at import time: a heavy package imported
+inside a function is fine, one imported at module scope is not.
+
 Usage::
 
     python tools/check_layers.py [--root src]
@@ -25,7 +31,9 @@ from __future__ import annotations
 
 import argparse
 import ast
+import json
 import os
+import subprocess
 import sys
 from typing import Dict, Iterator, List, Tuple
 
@@ -76,6 +84,37 @@ CONTRACTS: Dict[str, Dict[str, str]] = {
 
 #: (module, imported-name) pairs exempted from the contract. Keep empty.
 SEAMS: Tuple[Tuple[str, str], ...] = ()
+
+#: modules a process imports to run: the package, the CLI, the live
+#: server, the data path, the sim kernel and the fleet.
+ENTRY_POINTS: Tuple[str, ...] = (
+    "repro",
+    "repro.cli",
+    "repro.serve",
+    "repro.service",
+    "repro.core.sim",
+    "repro.fleet",
+)
+
+#: package -> why importing an entry point must not load it.
+HEAVY_IMPORTS: Dict[str, str] = {
+    "scipy": "~0.6 s and ~65 MB per process; only ReplicatedMetric.half_width "
+    "uses it, and imports it there",
+}
+
+#: run in a fresh interpreter: import each entry point in turn and print
+#: {heavy package: the entry point whose import first loaded it}.
+_PROBE = """
+import importlib, json, sys
+heavy, entries = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+loaded = {}
+for entry in entries:
+    importlib.import_module(entry)
+    for name in heavy:
+        if name in sys.modules:
+            loaded.setdefault(name, entry)
+print(json.dumps(loaded))
+"""
 
 
 def module_name(path: str, root: str) -> str:
@@ -137,6 +176,29 @@ def check_package(root: str, package: str, forbidden: Dict[str, str]) -> List[st
     return violations
 
 
+def check_runtime_imports(
+    root: str,
+    entry_points: Tuple[str, ...] = ENTRY_POINTS,
+    heavy: Dict[str, str] = HEAVY_IMPORTS,
+) -> List[str]:
+    """Heavy packages a fresh interpreter loads on importing ``entry_points``."""
+    # ``python -c`` puts its working directory first on sys.path, so the
+    # probe imports the tree under ``root`` ahead of any installed copy.
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, json.dumps(sorted(heavy)),
+         json.dumps(list(entry_points))],
+        capture_output=True, text=True, cwd=root,
+    )
+    if proc.returncode != 0:
+        last = (proc.stderr.strip().splitlines() or ["no output"])[-1]
+        return [f"import probe failed: {last}"]
+    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    return [
+        f"import {entry} loads {name} (forbidden: {heavy[name]})"
+        for name, entry in sorted(loaded.items())
+    ]
+
+
 def main(argv: List[str] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default="src", help="source root (default src)")
@@ -148,6 +210,10 @@ def main(argv: List[str] = None) -> int:
         status = "OK" if not violations else f"{len(violations)} violation(s)"
         print(f"layer contract {package}: {status}")
         all_violations.extend(violations)
+    runtime = check_runtime_imports(args.root)
+    status = "OK" if not runtime else f"{len(runtime)} violation(s)"
+    print(f"import graph {', '.join(ENTRY_POINTS)}: {status}")
+    all_violations.extend(runtime)
     for line in all_violations:
         print(f"  {line}")
     if all_violations:
