@@ -10,7 +10,7 @@ evaluation workloads.
 
 import pytest
 
-from repro.core.sim import LibrarySimulation, SimConfig
+from repro.core.sim import SimConfig, SimKernel
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.profiles import ALL_PROFILES
 
@@ -24,18 +24,18 @@ PLATTER_INTERVAL_S = 1200.0  # one freshly written platter every 20 minutes
 def _run(profile, seed=18):
     generator = WorkloadGenerator(seed=seed)
     trace, start, end = SCALE.trace_for(profile, seed=seed, stream=70 + seed)
-    sim = LibrarySimulation(
+    kernel = SimKernel(
         SimConfig(num_platters=SCALE.num_platters, seed=seed)
     )
-    sim.assign_trace(trace, start, end)
+    kernel.lifecycle.assign_trace(trace, start, end)
     horizon = end + 3600.0
     t = 0.0
     while t < end:
-        sim.submit_verification(PLATTER_BYTES, time=t)
+        kernel.verification.submit_verification(PLATTER_BYTES, time=t)
         t += PLATTER_INTERVAL_S
-    sim.sim.schedule(horizon, lambda: None)  # let the tail of the queue drain
-    report = sim.run()
-    return sim, report
+    kernel.ctx.sim.schedule(horizon, lambda: None)  # let the tail of the queue drain
+    report = kernel.run()
+    return kernel, report
 
 
 def test_verification_latency(once):
@@ -44,25 +44,25 @@ def test_verification_latency(once):
 
     results = once(experiment)
     rows = []
-    for name, (sim, report) in results.items():
-        latencies = sim.verify_latencies
+    for name, (kernel, report) in results.items():
+        latencies = kernel.verification.verify_latencies
         worst = max(latencies) if latencies else float("nan")
         rows.append(
             f"{name:8s}: {len(latencies):3d} platters verified   "
             f"worst latency {hours(worst):5.2f} h   "
-            f"final backlog {sim.verify_backlog_bytes / 1e12:5.2f} TB   "
+            f"final backlog {kernel.verification.backlog_bytes / 1e12:5.2f} TB   "
             f"drive verify share {report.drive_utilization.verify_fraction * 100:4.1f}%"
         )
     print_series(
         "Extension: verification latency in idle drive time", "workload", rows
     )
-    for name, (sim, report) in results.items():
+    for name, (kernel, report) in results.items():
         # The queue keeps up: platters verify, the backlog stays bounded.
-        assert len(sim.verify_latencies) > 0, name
-        assert sim.verify_backlog_bytes < 3 * PLATTER_BYTES, name
+        assert len(kernel.verification.verify_latencies) > 0, name
+        assert kernel.verification.backlog_bytes < 3 * PLATTER_BYTES, name
         # Verification never starves customer reads.
         assert report.requests_completed == report.requests_submitted, name
     # Busier read workloads verify slower (preemption is real).
-    typical_worst = max(results["Typical"][0].verify_latencies)
-    volume_worst = max(results["Volume"][0].verify_latencies)
+    typical_worst = max(results["Typical"][0].verification.verify_latencies)
+    volume_worst = max(results["Volume"][0].verification.verify_latencies)
     assert volume_worst >= typical_worst * 0.8

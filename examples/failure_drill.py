@@ -11,7 +11,7 @@ nearest alive drive. The library keeps serving within the SLO throughout.
 Run:  python examples/failure_drill.py
 """
 
-from repro.core.sim import LibrarySimulation, SimConfig
+from repro.core.sim import SimConfig, SimKernel
 from repro.workload.generator import WorkloadGenerator
 
 
@@ -24,17 +24,17 @@ def run(label, failures):
         cooldown_hours=0.1,
         fixed_size=20_000_000,
     )
-    sim = LibrarySimulation(SimConfig(num_platters=1900, seed=77))
-    sim.assign_trace(trace, start, end)
+    kernel = SimKernel(SimConfig(num_platters=1900, seed=77))
+    kernel.lifecycle.assign_trace(trace, start, end)
     for kind, time, target in failures:
         if kind == "shuttle":
-            sim.schedule_shuttle_failure(time, target)
+            kernel.faults.schedule_shuttle_failure(time, target)
         else:
-            sim.schedule_drive_failure(time, target)
-    report = sim.run()
+            kernel.faults.schedule_drive_failure(time, target)
+    report = kernel.run()
     print(f"== {label} ==")
-    print(f"  failures injected    : {sim.failures_injected}")
-    print(f"  platters unavailable : {len(sim.unavailable)}")
+    print(f"  failures injected    : {report.resilience.faults_injected}")
+    print(f"  platters unavailable : {len(kernel.lifecycle.unavailable)}")
     print(
         f"  requests completed   : {report.requests_completed}"
         f"/{report.requests_submitted}"

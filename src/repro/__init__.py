@@ -12,14 +12,14 @@ table of the paper's evaluation.
 
 Quickstart::
 
-    from repro.core import LibrarySimulation, SimConfig
+    from repro.core import SimConfig, SimKernel
     from repro.workload import WorkloadGenerator, IOPS
 
     generator = WorkloadGenerator(seed=0)
     trace, start, end = IOPS.trace(generator)
-    sim = LibrarySimulation(SimConfig(num_shuttles=20))
-    sim.assign_trace(trace, start, end)
-    report = sim.run()
+    kernel = SimKernel(SimConfig(num_shuttles=20))
+    kernel.lifecycle.assign_trace(trace, start, end)
+    report = kernel.run()
     print(report.summary())
 
 Subpackages

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..core.metrics import SimulationReport
-from ..core.sim import LibrarySimulation, SimConfig
+from ..core.sim import SimConfig, SimKernel
 from .registry import ScenarioRegistry, ScenarioRun
 
 
@@ -95,18 +95,18 @@ def build_library_sim(
     seed: int = 0,
     skew=None,
     **config_kwargs,
-) -> LibrarySimulation:
+) -> SimKernel:
     """A prepared (trace assigned, unrun) library run of ``profile``."""
     trace, start, end = scale.trace_for(profile, seed=seed, stream=30 + seed)
     config_kwargs.setdefault("num_platters", scale.num_platters)
-    sim = LibrarySimulation(SimConfig(seed=seed, **config_kwargs))
-    sim.assign_trace(trace, start, end, skew=skew)
-    return sim
+    kernel = SimKernel(SimConfig(seed=seed, **config_kwargs))
+    kernel.lifecycle.assign_trace(trace, start, end, skew=skew)
+    return kernel
 
 
 def build_full_library_sim(
     mbps: float, window_hours: float, seed: int = 12
-) -> LibrarySimulation:
+) -> SimKernel:
     """The Figure 9 replay: full-capacity library, ~100 MB files, 1.6 reads/s.
 
     The paper derives 1.6 reads/s from the 0.3 reads/s early-deployment mean
@@ -126,7 +126,7 @@ def build_full_library_sim(
         fixed_size=FIG9_FILE_BYTES,
         stream=60,
     )
-    sim = LibrarySimulation(
+    kernel = SimKernel(
         SimConfig(
             drive_throughput_mbps=float(mbps),
             num_platters=library.storage_capacity,  # fully populated
@@ -134,8 +134,8 @@ def build_full_library_sim(
             library=library,
         )
     )
-    sim.assign_trace(trace, start, end)
-    return sim
+    kernel.lifecycle.assign_trace(trace, start, end)
+    return kernel
 
 
 FIG9_RATE_READS_PER_SEC = 1.6
@@ -173,31 +173,32 @@ def headline_metrics(report: SimulationReport) -> Dict[str, float]:
 # ------------------------------------------------------------------ #
 
 
+def _kernel_run(kernel: SimKernel) -> ScenarioRun:
+    """One repetition that runs a prepared kernel and reports its headline."""
+    return ScenarioRun(
+        execute=lambda: headline_metrics(kernel.run()),
+        simulation=kernel.ctx.sim,
+        kernel=kernel,
+    )
+
+
 def _library_profile_run(profile_name: str, scale: BenchScale, seed: int) -> ScenarioRun:
     from ..workload.profiles import profile_by_name
 
-    sim = build_library_sim(profile_by_name(profile_name), scale=scale, seed=seed)
-    return ScenarioRun(
-        execute=lambda: headline_metrics(sim.run()),
-        simulation=sim.sim,
-        kernel=sim.kernel,
+    return _kernel_run(
+        build_library_sim(profile_by_name(profile_name), scale=scale, seed=seed)
     )
 
 
 def _full_library_run(mbps: float, window_hours: float, seed: int) -> ScenarioRun:
-    sim = build_full_library_sim(mbps, window_hours, seed=seed)
-    return ScenarioRun(
-        execute=lambda: headline_metrics(sim.run()),
-        simulation=sim.sim,
-        kernel=sim.kernel,
-    )
+    return _kernel_run(build_full_library_sim(mbps, window_hours, seed=seed))
 
 
 def _chaos_run(scale: BenchScale, seed: int) -> ScenarioRun:
     from ..faults import ChaosConfig, FaultModel, FaultSchedule
     from ..workload.profiles import IOPS
 
-    sim = build_library_sim(
+    kernel = build_library_sim(
         IOPS, scale=scale, seed=seed, transient_read_error_prob=0.002
     )
     horizon = (
@@ -210,14 +211,10 @@ def _chaos_run(scale: BenchScale, seed: int) -> ScenarioRun:
         seed=seed,
     )
     schedule = FaultSchedule.generate(
-        chaos, sim.config.num_shuttles, sim.config.num_drives
+        chaos, kernel.config.num_shuttles, kernel.config.num_drives
     )
-    sim.apply_fault_schedule(schedule)
-    return ScenarioRun(
-        execute=lambda: headline_metrics(sim.run()),
-        simulation=sim.sim,
-        kernel=sim.kernel,
-    )
+    kernel.faults.apply_fault_schedule(schedule)
+    return _kernel_run(kernel)
 
 
 def _event_loop_run(num_events: int, seed: int) -> ScenarioRun:
@@ -278,7 +275,7 @@ def build_qos_sim(
     num_drives: int = 6,
     total_rate_per_second: float = 6.0,
     hot_share: float = 0.8,
-) -> LibrarySimulation:
+) -> SimKernel:
     """A prepared multi-tenant run under a skewed (hot-tenant) mix.
 
     One bulk tenant carries ``hot_share`` of the offered rate; expedited
@@ -306,7 +303,7 @@ def build_qos_sim(
         cooldown_hours=scale.cooldown_hours,
         size_model=IOPS.size_model,
     )
-    sim = LibrarySimulation(
+    kernel = SimKernel(
         SimConfig(
             seed=seed,
             num_platters=scale.num_platters,
@@ -316,8 +313,8 @@ def build_qos_sim(
             tenancy=registry,
         )
     )
-    sim.assign_trace(trace, start, end)
-    return sim
+    kernel.lifecycle.assign_trace(trace, start, end)
+    return kernel
 
 
 def qos_ablation_metrics(
@@ -356,16 +353,12 @@ def qos_ablation_metrics(
 
 
 def _qos_ablation_run(scale: BenchScale, seed: int) -> ScenarioRun:
-    sims = {
-        policy: build_qos_sim(policy, scale=scale, seed=seed)
-        for policy in ("arrival", "deadline")
-    }
+    arrival = build_qos_sim("arrival", scale=scale, seed=seed)
+    deadline = build_qos_sim("deadline", scale=scale, seed=seed)
     return ScenarioRun(
-        execute=lambda: qos_ablation_metrics(
-            sims["arrival"].run(), sims["deadline"].run()
-        ),
-        simulation=sims["deadline"].sim,
-        kernel=sims["deadline"].kernel,
+        execute=lambda: qos_ablation_metrics(arrival.run(), deadline.run()),
+        simulation=deadline.ctx.sim,
+        kernel=deadline,
     )
 
 
@@ -478,24 +471,24 @@ def _dispatch_sweep_run(seed: int) -> ScenarioRun:
                 rate_factor=rate,
                 num_platters=platters,
             )
-            sim = build_library_sim(
+            kernel = build_library_sim(
                 IOPS,
                 scale=scale,
                 seed=seed,
                 num_drives=drives,
                 num_shuttles=drives,
             )
-            cells.append((platters, drives, rate, sim))
+            cells.append((platters, drives, rate, kernel))
     curve: List[Dict[str, float]] = []
 
     def execute() -> Dict[str, float]:
         del curve[:]
         metrics: Dict[str, float] = {}
-        for platters, drives, rate, sim in cells:
+        for platters, drives, rate, kernel in cells:
             t0 = perf_counter()
-            report = sim.run()
+            report = kernel.run()
             wall = perf_counter() - t0
-            counters = sim.kernel.ctx.counters
+            counters = kernel.ctx.counters
             key = f"p{platters}_r{int(rate * 100)}"
             metrics[f"{key}_requests_completed"] = float(report.requests_completed)
             metrics[f"{key}_completion_p50_seconds"] = report.completions.median
@@ -506,8 +499,9 @@ def _dispatch_sweep_run(seed: int) -> ScenarioRun:
             metrics[f"{key}_dispatch_assignments"] = (
                 counters.dispatch_assignments.value
             )
-            stats = sim.kernel.ctx.sim.scheduler_stats
-            metrics[f"{key}_events_processed"] = float(sim.events_processed)
+            engine = kernel.ctx.sim
+            stats = engine.scheduler_stats
+            metrics[f"{key}_events_processed"] = float(engine.events_processed)
             metrics[f"{key}_engine_pushes"] = float(stats["pushes"])
             metrics[f"{key}_engine_pops"] = float(stats["pops"])
             metrics[f"{key}_engine_cancelled_skips"] = float(
@@ -518,10 +512,10 @@ def _dispatch_sweep_run(seed: int) -> ScenarioRun:
                     "num_platters": float(platters),
                     "num_drives": float(drives),
                     "rate_factor": rate,
-                    "events_processed": float(sim.events_processed),
+                    "events_processed": float(engine.events_processed),
                     "wall_seconds": wall,
                     "events_per_second": (
-                        sim.events_processed / wall if wall > 0 else 0.0
+                        engine.events_processed / wall if wall > 0 else 0.0
                     ),
                 }
             )
@@ -553,7 +547,7 @@ def _motion_sweep_run(seed: int) -> ScenarioRun:
                 rate_factor=0.5,
                 num_platters=platters,
             )
-            sim = build_library_sim(
+            kernel = build_library_sim(
                 IOPS,
                 scale=scale,
                 seed=seed,
@@ -561,28 +555,29 @@ def _motion_sweep_run(seed: int) -> ScenarioRun:
                 num_shuttles=drives,
                 fine_motion_events=(mode == "fine"),
             )
-            cells.append((platters, mode, sim))
+            cells.append((platters, mode, kernel))
     curve: List[Dict[str, float]] = []
 
     def execute() -> Dict[str, float]:
         del curve[:]
         metrics: Dict[str, float] = {}
-        for platters, mode, sim in cells:
+        for platters, mode, kernel in cells:
             t0 = perf_counter()
-            report = sim.run()
+            report = kernel.run()
             wall = perf_counter() - t0
+            engine = kernel.ctx.sim
             key = f"p{platters}_{mode}"
             metrics[f"{key}_requests_completed"] = float(report.requests_completed)
             metrics[f"{key}_completion_p50_seconds"] = report.completions.median
-            metrics[f"{key}_events_processed"] = float(sim.events_processed)
+            metrics[f"{key}_events_processed"] = float(engine.events_processed)
             curve.append(
                 {
                     "num_platters": float(platters),
                     "mode": mode,
-                    "events_processed": float(sim.events_processed),
+                    "events_processed": float(engine.events_processed),
                     "wall_seconds": wall,
                     "events_per_second": (
-                        sim.events_processed / wall if wall > 0 else 0.0
+                        engine.events_processed / wall if wall > 0 else 0.0
                     ),
                 }
             )

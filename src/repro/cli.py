@@ -149,7 +149,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .core import LibrarySimulation, SimConfig
+    from .core import SimConfig, SimKernel
 
     profile, trace, start, end = _profile_trace(args)
     config = SimConfig(
@@ -163,9 +163,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         tenancy=args.tenancy_registry,
         seed=args.seed,
     )
-    simulation = LibrarySimulation(config)
-    simulation.assign_trace(trace, start, end)
-    report = simulation.run()
+    kernel = SimKernel(config)
+    kernel.lifecycle.assign_trace(trace, start, end)
+    report = kernel.run()
     print(f"profile   : {profile.name} ({len(trace)} requests)")
     print(f"policy    : {args.policy}, {args.drives} drives @ {args.mbps} MB/s, "
           f"{args.shuttles} shuttles")
@@ -231,21 +231,12 @@ def _cmd_archive(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     import json
 
-    from .core import LibrarySimulation, SimConfig
+    from .core import SimKernel
     from .faults import ChaosConfig, FaultModel, FaultSchedule
 
     profile, trace, start, end = _profile_trace(args)
-    config = SimConfig(
-        num_drives=args.drives,
-        num_shuttles=args.shuttles,
-        num_platters=args.platters,
-        transient_read_error_prob=args.read_error_prob,
-        fetch_policy=args.fetch_policy,
-        tenancy=args.tenancy_registry,
-        seed=args.seed,
-    )
-    simulation = LibrarySimulation(config)
-    simulation.assign_trace(trace, start, end)
+    kernel = SimKernel(_sim_config_from(args))
+    kernel.lifecycle.assign_trace(trace, start, end)
     horizon = (args.hours + 2 * args.hours / 6) * 3600.0
 
     def model(mtbf: float, mttr: float) -> "FaultModel":
@@ -261,11 +252,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     schedule = FaultSchedule.generate(chaos, args.shuttles, args.drives)
     if args.no_repair:
         schedule = schedule.without_repair()
-    simulation.apply_fault_schedule(schedule)
+    kernel.faults.apply_fault_schedule(schedule)
     from .bench import PerfCapture
 
-    with PerfCapture(simulation.sim) as capture:
-        report = simulation.run()
+    with PerfCapture(kernel.ctx.sim) as capture:
+        report = kernel.run()
     perf = capture.sample
     resilience = report.resilience
     counts = {k.value: v for k, v in schedule.faults_by_component().items()}
@@ -279,7 +270,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             "repair": not args.no_repair,
         }
         payload["perf"] = perf.as_dict()
-        payload["service_retry"] = _sim_retry_stats(simulation).as_dict()
+        payload["service_retry"] = _sim_retry_stats(kernel).as_dict()
         print(json.dumps(payload, sort_keys=True, indent=2))
         return 0
     print(f"profile    : {profile.name} ({len(trace)} requests)")
@@ -299,7 +290,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sim_retry_stats(simulation):
+def _sim_retry_stats(kernel):
     """The simulator's retry ladder in the front end's stats schema.
 
     Maps the kernel's counters onto
@@ -311,8 +302,8 @@ def _sim_retry_stats(simulation):
     """
     from .service.frontend import ServiceRetryStats
 
-    metrics = simulation.metrics
-    requests = simulation.kernel.lifecycle.all_requests
+    metrics = kernel.ctx.metrics
+    requests = kernel.lifecycle.all_requests
     return ServiceRetryStats(
         metadata_retries=int(metrics.value("metadata_retries_total")),
         metadata_failures=sum(
@@ -340,14 +331,14 @@ def _sim_config_from(args: argparse.Namespace):
         num_shuttles=args.shuttles,
         num_platters=args.platters,
         transient_read_error_prob=args.read_error_prob,
-        fetch_policy=getattr(args, "fetch_policy", "arrival"),
-        tenancy=getattr(args, "tenancy_registry", None),
+        fetch_policy=args.fetch_policy,
+        tenancy=args.tenancy_registry,
         seed=args.seed,
     )
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from .core import LibrarySimulation
+    from .core import SimKernel
     from .observability import (
         Tracer,
         WallClockProfiler,
@@ -357,16 +348,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     profile, trace, start, end = _profile_trace(args)
     tracer = Tracer()
-    simulation = LibrarySimulation(_sim_config_from(args), tracer=tracer)
-    simulation.assign_trace(trace, start, end)
+    kernel = SimKernel(_sim_config_from(args), tracer=tracer)
+    kernel.lifecycle.assign_trace(trace, start, end)
     profiler = None
     if args.hotspots:
         profiler = WallClockProfiler()
-        profiler.install(simulation.sim)
-    report = simulation.run()
+        profiler.install(kernel.ctx.sim)
+    report = kernel.run()
     events = tracer.events()
     artifacts = export_run(
-        args.out, report, simulation.metrics, events=events, profiler=profiler
+        args.out, report, kernel.ctx.metrics, events=events, profiler=profiler
     )
     from .observability import assemble_spans
 
@@ -383,14 +374,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    from .core import LibrarySimulation
+    from .core import SimKernel
     from .observability import export_run
 
     profile, trace, start, end = _profile_trace(args)
-    simulation = LibrarySimulation(_sim_config_from(args))
-    simulation.assign_trace(trace, start, end)
-    report = simulation.run()
-    artifacts = export_run(args.out, report, simulation.metrics)
+    kernel = SimKernel(_sim_config_from(args))
+    kernel.lifecycle.assign_trace(trace, start, end)
+    report = kernel.run()
+    artifacts = export_run(args.out, report, kernel.ctx.metrics)
     print(f"profile   : {profile.name} ({len(trace)} requests)")
     print(f"result    : {report.summary()}")
     print(artifacts.summary())
@@ -466,7 +457,7 @@ def _watch_follow(args: argparse.Namespace) -> int:
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
-    from .core import LibrarySimulation
+    from .core import SimKernel
     from .core.events import PacedEngine
     from .observability import TimeSeriesMonitor, export_run
     from .observability.watch import render_frame
@@ -476,12 +467,12 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     if args.follow:
         return _watch_follow(args)
     profile, trace, start, end = _profile_trace(args)
-    simulation = LibrarySimulation(_sim_config_from(args))
-    simulation.assign_trace(trace, start, end)
+    kernel = SimKernel(_sim_config_from(args))
+    kernel.lifecycle.assign_trace(trace, start, end)
     horizon = (args.hours + 2 * args.hours / 6) * 3600.0
     interval = args.interval if args.interval else horizon / 240.0
     monitor = TimeSeriesMonitor(interval, max_samples=args.max_samples)
-    monitor.attach(simulation.kernel)
+    monitor.attach(kernel)
     frames = max(1, args.frames)
     clear = "\x1b[H\x1b[2J" if sys.stdout.isatty() and args.refresh > 0 else ""
     print(f"profile   : {profile.name} ({len(trace)} requests), "
@@ -490,22 +481,25 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     # frame boundaries, wall pause between frames) — the same clock the
     # live server couples to, so there is exactly one pacing
     # implementation in the tree.
-    engine = PacedEngine(simulation.sim, frame_wall_seconds=args.refresh)
+    sim = kernel.ctx.sim
+    engine = PacedEngine(sim, frame_wall_seconds=args.refresh)
     for _frame, now in engine.frames(horizon, frames):
         counters = {
             "completed": sum(
-                1 for r in simulation.all_requests if r.parent is None and r.done
+                1
+                for r in kernel.lifecycle.all_requests
+                if r.parent is None and r.done
             ),
-            "bytes_read": simulation.bytes_read,
-            "lost": simulation.requests_lost,
-            "events": simulation.events_processed,
+            "bytes_read": kernel.ctx.counters.bytes_read.value,
+            "lost": int(kernel.ctx.counters.requests_lost.value),
+            "events": sim.events_processed,
         }
         print(clear + render_frame(monitor, now, horizon, counters))
-    report = simulation.run()  # drain to quiescence past the horizon
+    report = kernel.run()  # drain to quiescence past the horizon
     print(f"result    : {report.summary()}")
     if args.out:
         artifacts = export_run(
-            args.out, report, simulation.metrics, monitor=monitor
+            args.out, report, kernel.ctx.metrics, monitor=monitor
         )
         print(artifacts.summary())
     return 0
@@ -808,6 +802,11 @@ def _fault_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` argument parser: root flags plus one subparser per command.
+
+    Each subcommand binds its handler as ``func``; :func:`main` dispatches
+    on it.
+    """
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Project Silica reproduction: glass archival storage.",
@@ -1070,6 +1069,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Parse ``argv`` (default ``sys.argv[1:]``), run the command, return its exit code.
+
+    A :class:`~repro.bench.registry.BenchError` is reported on stderr with
+    exit code 2 instead of a traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     from .bench.registry import BenchError

@@ -25,7 +25,7 @@ from .replication import ReplicatedMetric, replicate, replicate_tail_hours
 from .requests import SimRequest
 from .scheduler import RequestScheduler
 from .tape_baseline import TapeConfig, TapeLibrarySimulation, TapeReport
-from .sim import LibrarySimulation, SimConfig, SimContext, SimKernel
+from .sim import SimConfig, SimContext, SimKernel
 from .traffic import (
     Partition,
     PartitionedPolicy,
@@ -66,7 +66,6 @@ __all__ = [
     "TapeConfig",
     "TapeLibrarySimulation",
     "TapeReport",
-    "LibrarySimulation",
     "SimConfig",
     "SimContext",
     "SimKernel",

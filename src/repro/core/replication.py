@@ -25,7 +25,7 @@ import numpy as np
 from ..workload.profiles import WorkloadProfile
 from ..workload.generator import WorkloadGenerator
 from .metrics import SimulationReport
-from .sim import LibrarySimulation, SimConfig
+from .sim import SimConfig, SimKernel
 
 
 @dataclass(frozen=True)
@@ -159,9 +159,9 @@ def replicate_tail_hours(
         )
         settings = dict(config_kwargs)
         settings["seed"] = seed
-        simulation = LibrarySimulation(SimConfig(**settings))
-        simulation.assign_trace(trace, start, end)
-        report = simulation.run()
+        kernel = SimKernel(SimConfig(**settings))
+        kernel.lifecycle.assign_trace(trace, start, end)
+        report = kernel.run()
         return report.completions.tail / 3600.0
 
     return replicate(run, seeds, confidence)

@@ -1,7 +1,7 @@
 """The composable library-simulation kernel (``repro.core.sim``).
 
-The monolithic ``LibrarySimulation`` god class is decomposed into five
-subsystems composed over one :class:`~repro.core.sim.context.SimContext`:
+The library simulator is five subsystems composed over one
+:class:`~repro.core.sim.context.SimContext`:
 
 - :mod:`~repro.core.sim.robotics` — drives, shuttles, moves, mounts,
   recharge (the mechanical plant);
@@ -14,11 +14,9 @@ subsystems composed over one :class:`~repro.core.sim.context.SimContext`:
   return-to-service;
 - :mod:`~repro.core.sim.verification` — the fluid read-back queue.
 
-:class:`~repro.core.sim.kernel.SimKernel` wires them together;
-:class:`~repro.core.sim.facade.LibrarySimulation` is the thin
-backwards-compatible facade every existing call site keeps using. The
-kernel is the bottom of the simulator stack: it never imports
-``repro.tenancy`` / ``repro.faults`` / ``repro.observability`` /
+:class:`~repro.core.sim.kernel.SimKernel` wires them together and is the
+one entry point every caller drives. The kernel is the bottom of the
+simulator stack: it never imports ``repro.tenancy`` / ``repro.faults`` / ``repro.observability`` /
 ``repro.service`` — those layers plug in through the protocols in
 :mod:`~repro.core.sim.hooks` (enforced by ``tools/check_layers.py``).
 """
@@ -32,7 +30,6 @@ from .dispatch import (
     SilicaDispatch,
     dispatch_policy_for,
 )
-from .facade import LibrarySimulation
 from .faults import FaultSubsystem
 from .hooks import (
     AdmissionLike,
@@ -58,7 +55,6 @@ __all__ = [
     "FaultScheduleLike",
     "FaultSubsystem",
     "FetchPolicyLike",
-    "LibrarySimulation",
     "NoShuttleDispatch",
     "RequestLifecycle",
     "RoboticsSubsystem",

@@ -101,6 +101,28 @@ class SimConfig:
             raise ValueError("transient_read_error_prob must be in [0, 1)")
         if self.metadata_backoff_base_seconds <= 0:
             raise ValueError("metadata_backoff_base_seconds must be positive")
+        # min(base * 2**k, cap) is the backoff delay: a cap below the base
+        # undercuts even the first retry, and a negative one schedules it
+        # in the past.
+        if not self.metadata_backoff_cap_seconds >= self.metadata_backoff_base_seconds:
+            raise ValueError(
+                "metadata_backoff_cap_seconds must be >= metadata_backoff_base_seconds"
+            )
+        # Request intake divides by these two to count tracks and shards.
+        if not self.track_payload_bytes > 0:
+            raise ValueError("track_payload_bytes must be positive")
+        if self.shard_tracks_limit < 1:
+            raise ValueError(
+                f"shard_tracks_limit must be >= 1 (got {self.shard_tracks_limit})"
+            )
+        if not self.battery_capacity_joules > 0:
+            raise ValueError("battery_capacity_joules must be positive")
+        # A threshold above a full charge sends every shuttle back to the
+        # charger forever, so no platter is ever moved.
+        if not 0 <= self.battery_low_threshold <= 1:
+            raise ValueError("battery_low_threshold must be in [0, 1]")
+        if not self.deep_decode_factor >= 0:
+            raise ValueError("deep_decode_factor must be >= 0")
 
     @property
     def track_read_bytes(self) -> float:

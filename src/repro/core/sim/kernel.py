@@ -3,10 +3,11 @@
 :class:`SimKernel` builds the context and the five subsystems in a fixed
 order (the order is load-bearing: it preserves the RNG draw sequence of
 the original monolithic simulator, keeping matched-seed runs byte-exact),
-wires their cross-references, and owns the run/report surface. The
-:class:`~repro.core.sim.facade.LibrarySimulation` facade delegates here;
-tools that don't need the legacy attribute surface (worker processes,
-golden-replay tests) can drive the kernel directly.
+wires their cross-references, and owns the run/report surface. It is the
+simulator's one entry point: callers reach subsystem state through its
+attributes (``kernel.lifecycle.assign_trace``,
+``kernel.faults.apply_fault_schedule``, ``kernel.ctx.sim`` /
+``.metrics`` / ``.counters``, ``kernel.robotics.drives``).
 """
 
 from __future__ import annotations

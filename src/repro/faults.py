@@ -19,8 +19,9 @@ the digital twin:
   repair-disabled twin (same fault instants, infinite repair), which is
   the ablation the chaos benchmark sweeps against.
 
-The schedule is pure data; :meth:`repro.core.sim.LibrarySimulation.
-apply_fault_schedule` turns it into simulator events.
+The schedule is pure data; :meth:`repro.core.sim.faults.FaultSubsystem.
+apply_fault_schedule` (``kernel.faults`` on a
+:class:`~repro.core.sim.kernel.SimKernel`) turns it into simulator events.
 
 On top of the per-component machinery, :class:`FleetFaultSchedule` scopes
 outages to *named failure domains* (whole libraries, rack-row power

@@ -51,7 +51,7 @@ class TestRouting:
         )
         deployment.route_trace(trace, start, end)
         routed = sum(
-            sum(1 for r in lib.all_requests if r.parent is None)
+            sum(1 for r in lib.lifecycle.all_requests if r.parent is None)
             for lib in deployment.libraries
         )
         assert routed == len(trace)

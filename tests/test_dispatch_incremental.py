@@ -41,7 +41,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.sim.kernel
-from repro.core.sim import LibrarySimulation, SimConfig
+from repro.core.sim import SimConfig, SimKernel
 from repro.core.sim.dispatch import DispatchSubsystem
 from repro.faults import ChaosConfig, FaultModel, FaultSchedule
 from repro.observability import Tracer
@@ -209,11 +209,11 @@ def _chaos_schedule(config, seed, shuttle_mtbf=400.0, drive_mtbf=600.0):
 
 def _build(config, reference, tracer=None):
     if not reference:
-        return LibrarySimulation(config, tracer=tracer)
+        return SimKernel(config, tracer=tracer)
     with _reference_dispatch():
-        sim = LibrarySimulation(config, tracer=tracer)
-    assert isinstance(sim.kernel.dispatch, RescanDispatchSubsystem)
-    return sim
+        kernel = SimKernel(config, tracer=tracer)
+    assert isinstance(kernel.dispatch, RescanDispatchSubsystem)
+    return kernel
 
 
 def _recorded_run(policy, seed, rate, reference, faults=False):
@@ -226,12 +226,12 @@ def _recorded_run(policy, seed, rate, reference, faults=False):
         seed=seed,
     )
     trace, start, end = _trace(rate, seed)
-    sim = _build(config, reference)
-    sim.assign_trace(trace, start, end)
+    kernel = _build(config, reference)
+    kernel.lifecycle.assign_trace(trace, start, end)
     if faults:
-        sim.apply_fault_schedule(_chaos_schedule(config, seed))
-    robotics = sim.kernel.robotics
-    engine = sim.sim
+        kernel.faults.apply_fault_schedule(_chaos_schedule(config, seed))
+    robotics = kernel.robotics
+    engine = kernel.ctx.sim
     log = []
     orig_fetch = robotics.start_fetch
     orig_return = robotics.start_return
@@ -252,12 +252,12 @@ def _recorded_run(policy, seed, rate, reference, faults=False):
 
     robotics.start_fetch = start_fetch
     robotics.start_return = start_return
-    report = sim.run()
-    return sim, log, report.as_dict()
+    report = kernel.run()
+    return kernel, log, report.as_dict()
 
 
 def _assert_matches_reference(policy, seed, rate, faults=False):
-    sim_inc, log_inc, report_inc = _recorded_run(
+    kernel_inc, log_inc, report_inc = _recorded_run(
         policy, seed, rate, reference=False, faults=faults
     )
     _, log_ref, report_ref = _recorded_run(
@@ -265,7 +265,7 @@ def _assert_matches_reference(policy, seed, rate, faults=False):
     )
     assert log_inc == log_ref
     assert report_inc == report_ref
-    return sim_inc
+    return kernel_inc
 
 
 interleaving = st.fixed_dictionaries(
@@ -301,16 +301,16 @@ def test_cover_change_mid_service_keeps_heaps_fresh():
     scenario — it asserts shuttle faults fired and repairs happened — and
     still match the rescan byte for byte.
     """
-    sim = _assert_matches_reference("silica", seed=17, rate=0.9, faults=True)
-    counters = sim.kernel.ctx.counters
+    kernel = _assert_matches_reference("silica", seed=17, rate=0.9, faults=True)
+    counters = kernel.ctx.counters
     assert counters.faults_injected.value > 0
     assert counters.faults_repaired.value > 0
 
 
 def test_free_partition_set_matches_recompute():
     """The maintained free set / owner refcounts equal a fresh recompute."""
-    sim, _, _ = _recorded_run("silica", seed=3, rate=0.8, reference=False)
-    dispatch = sim.kernel.dispatch
+    kernel, _, _ = _recorded_run("silica", seed=3, rate=0.8, reference=False)
+    dispatch = kernel.dispatch
     maintained = set(dispatch.free_partitions())
     expected = set()
     owners = {}
@@ -328,20 +328,20 @@ def test_free_partition_set_matches_recompute():
 
 def test_short_circuit_counter_only_counts_incremental_fast_path():
     """The short-circuit counter stays zero on the rescan reference."""
-    sim_inc, _, _ = _recorded_run("silica", seed=5, rate=0.4, reference=False)
-    sim_ref, _, _ = _recorded_run("silica", seed=5, rate=0.4, reference=True)
-    assert sim_inc.kernel.ctx.counters.dispatch_short_circuits.value > 0
-    assert sim_ref.kernel.ctx.counters.dispatch_short_circuits.value == 0
+    kernel_inc, _, _ = _recorded_run("silica", seed=5, rate=0.4, reference=False)
+    kernel_ref, _, _ = _recorded_run("silica", seed=5, rate=0.4, reference=True)
+    assert kernel_inc.ctx.counters.dispatch_short_circuits.value > 0
+    assert kernel_ref.ctx.counters.dispatch_short_circuits.value == 0
 
 
 def _mode_run(config_kwargs, trace, start, end, schedule=None, reference=False):
     tracer = Tracer()
-    simulation = _build(SimConfig(**config_kwargs), reference, tracer)
-    simulation.assign_trace(trace, start, end)
+    kernel = _build(SimConfig(**config_kwargs), reference, tracer)
+    kernel.lifecycle.assign_trace(trace, start, end)
     if schedule is not None:
-        simulation.apply_fault_schedule(schedule)
-    report = simulation.run()
-    metrics = simulation.metrics.as_dict()
+        kernel.faults.apply_fault_schedule(schedule)
+    report = kernel.run()
+    metrics = kernel.ctx.metrics.as_dict()
     # The short-circuit counter measures the incremental fast path itself
     # (the rescan reference never takes it); everything else must match.
     metrics.pop("sim_dispatch_short_circuits_total", None)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.scheduler import RequestScheduler
 from repro.core.requests import SimRequest
-from repro.core.sim import LibrarySimulation, SimConfig
+from repro.core.sim import SimConfig, SimKernel
 from repro.media.channel import ReadChannel
 from repro.media.codec import SectorCodec
 from repro.media.geometry import PlatterGeometry, SectorAddress, extent_addresses
@@ -92,9 +92,9 @@ class TestCodecProperties:
 
 class TestSimulationEdges:
     def test_zero_request_trace(self):
-        sim = LibrarySimulation(SimConfig(num_platters=50, seed=70))
-        sim.assign_trace(ReadTrace([]), 0.0, 1.0)
-        report = sim.run()
+        kernel = SimKernel(SimConfig(num_platters=50, seed=70))
+        kernel.lifecycle.assign_trace(ReadTrace([]), 0.0, 1.0)
+        report = kernel.run()
         assert report.requests_submitted == 0
         assert report.completions.count == 0
 
@@ -104,29 +104,29 @@ class TestSimulationEdges:
             0.2, interval_hours=0.2, warmup_hours=0.02, cooldown_hours=0.02,
             fixed_size=4_000_000,
         )
-        sim = LibrarySimulation(
+        kernel = SimKernel(
             SimConfig(num_shuttles=1, num_drives=4, num_platters=50, seed=71)
         )
-        sim.assign_trace(trace, start, end)
-        report = sim.run()
+        kernel.lifecycle.assign_trace(trace, start, end)
+        report = kernel.run()
         assert report.requests_completed == report.requests_submitted
 
     def test_more_platters_than_slots_rejected(self):
         with pytest.raises(ValueError):
-            LibrarySimulation(SimConfig(num_platters=100_000, seed=72))
+            SimKernel(SimConfig(num_platters=100_000, seed=72))
 
     def test_platter_set_of_groups_consecutively(self):
-        sim = LibrarySimulation(SimConfig(num_platters=100, seed=73))
-        group = sim.platter_set_of("P00000")
+        kernel = SimKernel(SimConfig(num_platters=100, seed=73))
+        group = kernel.lifecycle.platter_set_of("P00000")
         assert len(group) == 19  # 16 + 3
         assert "P00018" in group
         assert "P00019" not in group
 
     def test_covered_partitions_initially_self(self):
-        sim = LibrarySimulation(SimConfig(num_shuttles=10, num_platters=50, seed=74))
-        for shuttle_sim in sim.shuttles:
+        kernel = SimKernel(SimConfig(num_shuttles=10, num_platters=50, seed=74))
+        for shuttle_sim in kernel.robotics.shuttles:
             own = shuttle_sim.shuttle.partition
-            assert sim._covered_partitions(own) == [own]
+            assert kernel.dispatch.covered_partitions(own) == [own]
 
     def test_sorted_batches_preserve_completion_set(self):
         """Elevator ordering changes order, never the set of work done."""
@@ -137,11 +137,11 @@ class TestSimulationEdges:
         )
         results = {}
         for sort in (False, True):
-            sim = LibrarySimulation(
+            kernel = SimKernel(
                 SimConfig(num_platters=30, sort_batch_by_track=sort, seed=75)
             )
-            sim.assign_trace(trace, start, end)
-            report = sim.run()
+            kernel.lifecycle.assign_trace(trace, start, end)
+            report = kernel.run()
             results[sort] = report
         assert (
             results[True].requests_completed == results[False].requests_completed

@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from repro.core import LibrarySimulation, SimConfig
+from repro.core import SimConfig, SimKernel
 from repro.core.metrics import MetricsRegistry
 from repro.observability import (
     EVENT_KINDS,
@@ -120,15 +120,15 @@ class TestDisabledTracer:
 
     def test_simulation_normalizes_disabled_tracer_to_none(self):
         disabled = Tracer(_ExplodingSink(), enabled=False)
-        sim = LibrarySimulation(SimConfig(num_platters=50), tracer=disabled)
-        assert sim.tracer is None
+        kernel = SimKernel(SimConfig(num_platters=50), tracer=disabled)
+        assert kernel.ctx.tracer is None
 
     def test_default_simulation_has_no_tracer(self):
-        sim = LibrarySimulation(SimConfig(num_platters=50))
-        assert sim.tracer is None
+        kernel = SimKernel(SimConfig(num_platters=50))
+        assert kernel.ctx.tracer is None
         # The shuttle hook is only installed when tracing: the model layer
         # stays a single `is None` comparison per operation.
-        assert all(s.shuttle.on_event is None for s in sim.shuttles)
+        assert all(s.shuttle.on_event is None for s in kernel.robotics.shuttles)
 
 
 # --------------------------------------------------------------------- #
@@ -219,7 +219,7 @@ class TestSpanAssembly:
         from repro.workload import WorkloadGenerator
 
         tracer = Tracer()
-        sim = LibrarySimulation(
+        kernel = SimKernel(
             SimConfig(num_shuttles=4, num_drives=4, num_platters=100,
                       transient_read_error_prob=0.1, seed=3),
             tracer=tracer,
@@ -228,8 +228,8 @@ class TestSpanAssembly:
         trace, start, end = generator.interval_trace(
             0.05, interval_hours=0.1, warmup_hours=0.0, cooldown_hours=0.1
         )
-        sim.assign_trace(trace, start, end)
-        sim.run()
+        kernel.lifecycle.assign_trace(trace, start, end)
+        kernel.run()
         spans = [s for s in assemble_spans(tracer.events()) if s.phases]
         assert spans, "expected at least one decomposed span"
         for span in spans:
@@ -300,7 +300,7 @@ class TestSimulationRegistry:
     def _run(self, **config):
         from repro.workload import WorkloadGenerator
 
-        sim = LibrarySimulation(
+        kernel = SimKernel(
             SimConfig(num_shuttles=4, num_drives=4, num_platters=100, seed=5,
                       **config)
         )
@@ -308,29 +308,30 @@ class TestSimulationRegistry:
         trace, start, end = generator.interval_trace(
             0.05, interval_hours=0.1, warmup_hours=0.0, cooldown_hours=0.1
         )
-        sim.assign_trace(trace, start, end)
-        sim.run()
-        return sim
+        kernel.lifecycle.assign_trace(trace, start, end)
+        kernel.run()
+        return kernel
 
-    def test_legacy_views_match_registry(self):
-        sim = self._run(transient_read_error_prob=0.2)
-        assert sim.bytes_read == sim.metrics.value("bytes_read_total")
-        assert sim.reread_retries == sim.metrics.value("reread_retries_total")
-        assert sim.deep_decodes == sim.metrics.value("deep_decodes_total")
-        assert sim.bytes_read > 0
+    def test_counters_match_registry(self):
+        kernel = self._run(transient_read_error_prob=0.2)
+        counters, metrics = kernel.ctx.counters, kernel.ctx.metrics
+        assert counters.bytes_read.value == metrics.value("bytes_read_total")
+        assert counters.reread.value == metrics.value("reread_retries_total")
+        assert counters.deep_decode.value == metrics.value("deep_decodes_total")
+        assert counters.bytes_read.value > 0
 
     def test_report_gauges_snapshot(self):
-        sim = self._run()
-        report = sim.report()
-        assert sim.metrics.value("requests_completed") == report.requests_completed
-        assert sim.metrics.value("simulated_seconds") == pytest.approx(
+        kernel = self._run()
+        report = kernel.report()
+        assert kernel.ctx.metrics.value("requests_completed") == report.requests_completed
+        assert kernel.ctx.metrics.value("simulated_seconds") == pytest.approx(
             report.simulated_seconds
         )
 
     def test_travel_histogram_populated(self):
-        sim = self._run()
-        hist = sim.metrics.histogram("shuttle_travel_seconds")
-        assert hist.count == len(sim._travel_times)
+        kernel = self._run()
+        hist = kernel.ctx.metrics.histogram("shuttle_travel_seconds")
+        assert hist.count == len(kernel.robotics.travel_times)
 
 
 # --------------------------------------------------------------------- #
@@ -505,23 +506,23 @@ class TestTimeSeriesMonitor:
         from repro.workload import WorkloadGenerator
 
         def run(with_monitor):
-            sim = LibrarySimulation(
+            kernel = SimKernel(
                 SimConfig(num_shuttles=4, num_drives=4, num_platters=100, seed=5)
             )
             generator = WorkloadGenerator(seed=5)
             trace, start, end = generator.interval_trace(
                 0.05, interval_hours=0.1, warmup_hours=0.0, cooldown_hours=0.1
             )
-            sim.assign_trace(trace, start, end)
+            kernel.lifecycle.assign_trace(trace, start, end)
             monitor = None
             if with_monitor:
                 monitor = TimeSeriesMonitor(15.0)
-                monitor.attach(sim.kernel)
-            report = sim.run()
+                monitor.attach(kernel)
+            report = kernel.run()
             return (
                 headline_metrics(report),
-                sim.events_processed,
-                sim.sim.now,
+                kernel.ctx.sim.events_processed,
+                kernel.ctx.sim.now,
                 monitor,
             )
 
@@ -584,17 +585,17 @@ class TestPhaseProfiler:
     def test_subsystem_shares_sum_to_one_on_a_real_run(self):
         from repro.workload import WorkloadGenerator
 
-        sim = LibrarySimulation(
+        kernel = SimKernel(
             SimConfig(num_shuttles=4, num_drives=4, num_platters=100, seed=5)
         )
         generator = WorkloadGenerator(seed=5)
         trace, start, end = generator.interval_trace(
             0.05, interval_hours=0.1, warmup_hours=0.0, cooldown_hours=0.1
         )
-        sim.assign_trace(trace, start, end)
+        kernel.lifecycle.assign_trace(trace, start, end)
         profiler = PhaseProfiler()
-        profiler.install(sim.sim)
-        sim.run()
+        profiler.install(kernel.ctx.sim)
+        kernel.run()
         table = profiler.subsystem_table()
         assert table, "expected at least one attributed subsystem"
         assert sum(row["share"] for row in table) == pytest.approx(1.0)

@@ -45,8 +45,8 @@ class TestKeyTypesAccessible:
     def test_simulator_types(self):
         from repro.core import (
             DeploymentSimulation,
-            LibrarySimulation,
             SimConfig,
+            SimKernel,
             TapeLibrarySimulation,
         )
 

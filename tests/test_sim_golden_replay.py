@@ -1,24 +1,25 @@
-"""Golden replay: the facade and the composed kernel are the same machine.
+"""Golden replay: a seeded kernel run is byte-identical when repeated.
 
-:class:`repro.core.sim.LibrarySimulation` survives as a thin facade
-over :class:`repro.core.sim.SimKernel`. These tests pin that equivalence
-the strongest way available: under matched seeds, a facade-driven run and
-a kernel-driven run must produce the *identical* report (every metric,
+Two independent :class:`repro.core.sim.SimKernel` runs under the same
+config and seed — each with its own freshly generated trace, fault
+schedule and tracer — must produce the *identical* report (every metric,
 compared as dicts), the identical structured-trace event stream, and the
-identical metrics export — across dispatch policies, under fault
-schedules, and with tenancy enabled. Any divergence means the
-decomposition changed behaviour, which the bench comparator's EXACT gate
-would also catch — this test just catches it earlier and names the event.
+identical metrics export: across dispatch policies, under fault schedules,
+with tenancy enabled, and with skewed platter assignment. Any divergence
+means hidden state leaked into a run (an unseeded draw, iteration over an
+unordered container, wall-clock input), which the bench comparator's
+EXACT gate would also catch; this test catches it earlier and names the
+event.
 """
 
 import pytest
 
-from repro.core.sim import LibrarySimulation, SimConfig, SimKernel
+from repro.core.metrics import CompletionStats
+from repro.core.sim import SimConfig, SimKernel
 from repro.faults import ChaosConfig, FaultModel, FaultSchedule
 from repro.observability import Tracer
 from repro.tenancy import skewed_mix
 from repro.workload.generator import WorkloadGenerator
-from repro.workload.traces import ReadTrace
 
 
 def _trace(rate=0.5, hours=0.4, seed=11, registry=None):
@@ -36,98 +37,78 @@ def _trace(rate=0.5, hours=0.4, seed=11, registry=None):
     )
 
 
-def _facade_run(config, trace, start, end, schedule=None):
-    tracer = Tracer()
-    simulation = LibrarySimulation(config, tracer=tracer)
-    simulation.assign_trace(trace, start, end)
-    if schedule is not None:
-        simulation.apply_fault_schedule(schedule)
-    report = simulation.run()
-    return report, tracer.events(), simulation.metrics.as_dict()
-
-
-def _kernel_run(config, trace, start, end, schedule=None):
+def _run(config, trace_kwargs, skew=None, chaos=None):
+    """One independent run: fresh trace, schedule, tracer and kernel."""
+    trace, start, end = _trace(**trace_kwargs)
     tracer = Tracer()
     kernel = SimKernel(config, tracer=tracer)
-    kernel.lifecycle.assign_trace(trace, start, end)
-    if schedule is not None:
-        kernel.faults.apply_fault_schedule(schedule)
+    kernel.lifecycle.assign_trace(trace, start, end, skew=skew)
+    if chaos is not None:
+        kernel.faults.apply_fault_schedule(
+            FaultSchedule.generate(chaos, config.num_shuttles, config.num_drives)
+        )
     report = kernel.run()
     return report, tracer.events(), kernel.ctx.metrics.as_dict()
 
 
-def _assert_identical(facade, kernel):
-    f_report, f_events, f_metrics = facade
-    k_report, k_events, k_metrics = kernel
-    assert f_report.as_dict() == k_report.as_dict()
-    assert len(f_events) == len(k_events)
-    for f_event, k_event in zip(f_events, k_events):
-        assert f_event == k_event
-    assert f_metrics == k_metrics
+def _assert_identical(first, second):
+    a_report, a_events, a_metrics = first
+    b_report, b_events, b_metrics = second
+    assert a_report.as_dict() == b_report.as_dict()
+    assert len(a_events) == len(b_events)
+    for a_event, b_event in zip(a_events, b_events):
+        assert a_event == b_event
+    assert a_metrics == b_metrics
+
+
+def _assert_deterministic(config, trace_kwargs, **run_kwargs):
+    _assert_identical(
+        _run(config, trace_kwargs, **run_kwargs),
+        _run(config, trace_kwargs, **run_kwargs),
+    )
 
 
 @pytest.mark.parametrize("policy", ["silica", "sp", "ns"])
 def test_policies_replay_identically(policy):
     config = SimConfig(policy=policy, num_platters=400, num_drives=8,
                        num_shuttles=8, seed=5)
-    trace, start, end = _trace()
-    _assert_identical(
-        _facade_run(config, trace, start, end),
-        _kernel_run(config, trace, start, end),
-    )
+    _assert_deterministic(config, {})
 
 
 def test_fault_schedule_replays_identically():
     config = SimConfig(num_platters=400, num_drives=8, num_shuttles=8,
                        transient_read_error_prob=0.02, seed=7)
-    trace, start, end = _trace(seed=13)
-    horizon = (end + 0.1 * 3600.0)
+    _, _, end = _trace(seed=13)
     chaos = ChaosConfig(
-        horizon_seconds=horizon,
+        horizon_seconds=end + 0.1 * 3600.0,
         shuttle=FaultModel(mtbf_seconds=900.0, mttr_seconds=120.0),
         drive=FaultModel(mtbf_seconds=1200.0, mttr_seconds=240.0),
         metadata=FaultModel(mtbf_seconds=1800.0, mttr_seconds=60.0),
         seed=7,
     )
-    schedule = FaultSchedule.generate(chaos, config.num_shuttles, config.num_drives)
-    _assert_identical(
-        _facade_run(config, trace, start, end, schedule),
-        _kernel_run(config, trace, start, end, schedule),
-    )
+    _assert_deterministic(config, {"seed": 13}, chaos=chaos)
 
 
 def test_tenancy_replays_identically():
     registry = skewed_mix(num_tenants=4, seed=3, total_rate_per_second=0.6,
                           zero_quota_tenant=True)
-    trace, start, end = _trace(registry=registry)
     config = SimConfig(num_platters=400, num_drives=8, num_shuttles=8,
                        tenancy=registry, fetch_policy="deadline", seed=3)
-    _assert_identical(
-        _facade_run(config, trace, start, end),
-        _kernel_run(config, trace, start, end),
-    )
+    _assert_deterministic(config, {"registry": registry})
 
 
 def test_skewed_assignment_replays_identically():
     config = SimConfig(num_platters=400, num_drives=8, num_shuttles=8, seed=9)
-    trace, start, end = _trace(seed=17)
-
-    tracer_f, tracer_k = Tracer(), Tracer()
-    facade = LibrarySimulation(config, tracer=tracer_f)
-    facade.assign_trace(trace, start, end, skew=1.2)
-    kernel = SimKernel(config, tracer=tracer_k)
-    kernel.lifecycle.assign_trace(trace, start, end, skew=1.2)
-    assert facade.run().as_dict() == kernel.run().as_dict()
-    assert tracer_f.events() == tracer_k.events()
+    _assert_deterministic(config, {"seed": 17}, skew=1.2)
 
 
 def _motion_run(config_kwargs, trace, start, end, fine):
     tracer = Tracer()
     config = SimConfig(fine_motion_events=fine, **config_kwargs)
-    simulation = LibrarySimulation(config, tracer=tracer)
-    simulation.assign_trace(trace, start, end)
-    report = simulation.run()
-    metrics = simulation.metrics.as_dict()
+    kernel = SimKernel(config, tracer=tracer)
+    kernel.lifecycle.assign_trace(trace, start, end)
+    report = kernel.run()
+    metrics = kernel.ctx.metrics.as_dict()
     # Closed-form trips exist to schedule fewer events, so the engine
     # counters differ by design; everything else must be byte-equal.
     for key in list(metrics):
@@ -161,17 +142,26 @@ def test_coarse_motion_replays_fine_when_serialized(policy):
     )
 
 
-def test_facade_population_matches_kernel_iterator():
-    """The facade's request list and the kernel's measured iterator agree."""
+def test_report_population_matches_measured_iterator():
+    """The report counts exactly the kernel's request populations.
+
+    ``completions`` summarises ``measured_completed()`` (warm-up and
+    cool-down excluded); ``requests_completed`` counts every finished
+    top-level request, so it bounds the measured population from above.
+    """
     config = SimConfig(num_platters=400, num_drives=8, num_shuttles=8, seed=21)
     trace, start, end = _trace(seed=21)
-    simulation = LibrarySimulation(config)
-    simulation.assign_trace(trace, start, end)
-    simulation.run()
-    legacy = [
-        r
-        for r in simulation.all_requests
-        if r.measured and r.done and r.parent is None
+    kernel = SimKernel(config)
+    kernel.lifecycle.assign_trace(trace, start, end)
+    report = kernel.run()
+    measured = list(kernel.measured_completed())
+    assert measured
+    assert all(r.measured and r.done and r.parent is None for r in measured)
+    assert report.completions.count == len(measured)
+    assert report.completions == CompletionStats.from_times(
+        [r.completion_time for r in measured]
+    )
+    top_level_done = [
+        r for r in kernel.lifecycle.all_requests if r.parent is None and r.done
     ]
-    assert legacy == list(simulation.kernel.measured_completed())
-    assert len(ReadTrace(list(trace))) == len(trace)
+    assert report.requests_completed == len(top_level_done) >= len(measured)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.metrics import SLO_SECONDS, CompletionStats, DriveUtilization
 from repro.core.requests import SimRequest
-from repro.core.sim import LibrarySimulation, SimConfig
+from repro.core.sim import SimConfig, SimKernel
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.traces import ReadRequest, ReadTrace
 
@@ -23,10 +23,10 @@ def _trace(rate=0.5, hours=0.5, seed=1, fixed_size=4_000_000):
 
 def _run(config, trace_args=None, skew=None):
     trace, start, end = _trace(**(trace_args or {}))
-    sim = LibrarySimulation(config)
-    sim.assign_trace(trace, start, end, skew=skew)
-    report = sim.run()
-    return sim, report
+    kernel = SimKernel(config)
+    kernel.lifecycle.assign_trace(trace, start, end, skew=skew)
+    report = kernel.run()
+    return kernel, report
 
 
 class TestConfigValidation:
@@ -55,11 +55,40 @@ class TestConfigValidation:
 
     def test_ns_runs_without_shuttles(self):
         # The NS baseline teleports platters, so it needs no shuttle.
-        sim, report = _run(
+        kernel, report = _run(
             SimConfig(policy="ns", num_shuttles=0, num_platters=500, seed=2)
         )
         assert report.requests_submitted > 0
         assert report.requests_completed == report.requests_submitted
+
+    @pytest.mark.parametrize(
+        "field", ["track_payload_bytes", "shard_tracks_limit"]
+    )
+    def test_zero_track_sizes_rejected(self, field):
+        # Both are divisors in request intake (ZeroDivisionError mid-run).
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{field: 0})
+
+    def test_zero_battery_capacity_rejected(self):
+        with pytest.raises(ValueError, match="battery_capacity_joules"):
+            SimConfig(battery_capacity_joules=0)
+
+    def test_battery_threshold_above_full_rejected(self):
+        # 1.5 kept every shuttle recharging: no request ever completed.
+        with pytest.raises(ValueError, match="battery_low_threshold"):
+            SimConfig(battery_low_threshold=1.5)
+
+    def test_negative_deep_decode_factor_rejected(self):
+        # A negative extra scan became a negative event delay mid-run.
+        with pytest.raises(ValueError, match="deep_decode_factor"):
+            SimConfig(deep_decode_factor=-3)
+
+    def test_backoff_cap_below_base_rejected(self):
+        # min(base * 2**k, cap) went negative at the first metadata outage.
+        with pytest.raises(ValueError, match="metadata_backoff_cap_seconds"):
+            SimConfig(metadata_backoff_cap_seconds=-5.0)
+        with pytest.raises(ValueError, match="metadata_backoff_cap_seconds"):
+            SimConfig(metadata_backoff_base_seconds=10.0, metadata_backoff_cap_seconds=5.0)
 
     def test_track_read_bytes_includes_overhead(self):
         config = SimConfig(track_payload_bytes=20e6, nc_read_overhead=0.1)
@@ -69,17 +98,17 @@ class TestConfigValidation:
 class TestCompletion:
     @pytest.mark.parametrize("policy", ["silica", "sp", "ns"])
     def test_all_requests_complete(self, policy):
-        sim, report = _run(SimConfig(policy=policy, num_platters=500, seed=2))
+        kernel, report = _run(SimConfig(policy=policy, num_platters=500, seed=2))
         assert report.requests_completed == report.requests_submitted
         assert report.completions.count > 0
 
     def test_completion_time_positive(self):
-        sim, report = _run(SimConfig(num_platters=500, seed=3))
+        kernel, report = _run(SimConfig(num_platters=500, seed=3))
         assert report.completions.median > 0
         assert report.completions.tail >= report.completions.median
 
     def test_light_load_meets_slo(self):
-        sim, report = _run(SimConfig(num_platters=500, seed=4))
+        kernel, report = _run(SimConfig(num_platters=500, seed=4))
         assert report.completions.within_slo()
 
     def test_deterministic_given_seed(self):
@@ -133,7 +162,7 @@ class TestDriveAccounting:
         assert util.utilization == pytest.approx(0.9)
 
     def test_per_drive_reports(self):
-        sim, report = _run(SimConfig(num_drives=20, num_platters=500, seed=13))
+        kernel, report = _run(SimConfig(num_drives=20, num_platters=500, seed=13))
         assert len(report.per_drive_utilization) == 20
 
     def test_bytes_verified_positive(self):
@@ -159,9 +188,9 @@ class TestTrackReads:
     def test_minimum_read_is_one_track(self):
         """Even a 1-byte file scans a whole track (the minimum read unit)."""
         args = {"rate": 0.3, "hours": 0.3, "seed": 17, "fixed_size": 1}
-        sim, report = _run(SimConfig(num_platters=300, seed=17), args)
+        kernel, report = _run(SimConfig(num_platters=300, seed=17), args)
         per_request = report.bytes_read / report.completions.count
-        assert per_request >= sim.config.track_read_bytes * 0.99
+        assert per_request >= kernel.config.track_read_bytes * 0.99
 
 
 class TestSharding:
@@ -169,8 +198,10 @@ class TestSharding:
         """Files above the shard limit split across platters (Section 6)."""
         config = SimConfig(num_platters=500, shard_tracks_limit=10, seed=18)
         args = {"rate": 0.1, "hours": 0.3, "seed": 18, "fixed_size": 2_000_000_000}
-        sim, report = _run(config, args)
-        parents = [r for r in sim.all_requests if r.children and r.parent is None]
+        kernel, report = _run(config, args)
+        parents = [
+            r for r in kernel.lifecycle.all_requests if r.children and r.parent is None
+        ]
         assert parents
         for parent in parents:
             platters = {c.platter_id for c in parent.children}
@@ -180,8 +211,8 @@ class TestSharding:
     def test_shard_track_budget_respected(self):
         config = SimConfig(num_platters=500, shard_tracks_limit=10, seed=19)
         args = {"rate": 0.1, "hours": 0.3, "seed": 19, "fixed_size": 2_000_000_000}
-        sim, _ = _run(config, args)
-        for request in sim.all_requests:
+        kernel, _ = _run(config, args)
+        for request in kernel.lifecycle.all_requests:
             if request.parent is not None:
                 assert request.num_tracks <= 10
 
@@ -191,11 +222,13 @@ class TestUnavailability:
         """Requests to unavailable platters become I_p sub-reads (Fig. 8)."""
         config = SimConfig(num_platters=400, unavailable_fraction=0.1, seed=20)
         args = {"rate": 0.3, "hours": 0.3, "seed": 20}
-        sim, report = _run(config, args)
+        kernel, report = _run(config, args)
         recovered = [
             r
-            for r in sim.all_requests
-            if r.parent is None and r.children and r.platter_id in sim.unavailable
+            for r in kernel.lifecycle.all_requests
+            if r.parent is None
+            and r.children
+            and r.platter_id in kernel.lifecycle.unavailable
         ]
         assert recovered
         for parent in recovered:
@@ -204,11 +237,11 @@ class TestUnavailability:
 
     def test_unavailable_capped_per_set(self):
         config = SimConfig(num_platters=950, unavailable_fraction=0.1, seed=21)
-        sim = LibrarySimulation(config)
+        kernel = SimKernel(config)
         group = config.platter_set_information + config.platter_set_redundancy
         per_set = {}
-        for platter in sim.unavailable:
-            set_id = sim._platter_index[platter] // group
+        for platter in kernel.lifecycle.unavailable:
+            set_id = kernel.robotics.platter_index[platter] // group
             per_set[set_id] = per_set.get(set_id, 0) + 1
         assert max(per_set.values()) <= config.platter_set_redundancy
 
@@ -226,10 +259,10 @@ class TestSkew:
     def test_zipf_concentrates_load(self):
         config = SimConfig(num_platters=400, seed=23)
         trace, start, end = _trace(rate=1.0, hours=0.4, seed=23)
-        sim = LibrarySimulation(config)
-        sim.assign_trace(trace, start, end, skew=3.3)
+        kernel = SimKernel(config)
+        kernel.lifecycle.assign_trace(trace, start, end, skew=3.3)
         counts = {}
-        for request in sim.all_requests:
+        for request in kernel.lifecycle.all_requests:
             counts[request.platter_id] = counts.get(request.platter_id, 0) + 1
         ranked = sorted(counts.values(), reverse=True)
         # Most-read platter dominates by about an order of magnitude (§7.5).
@@ -240,11 +273,11 @@ class TestSkew:
         trace, start, end = _trace(**args)
         results = {}
         for stealing in (True, False):
-            sim = LibrarySimulation(
+            kernel = SimKernel(
                 SimConfig(num_platters=400, work_stealing=stealing, seed=24)
             )
-            sim.assign_trace(trace, start, end, skew=2.0)
-            results[stealing] = sim.run()
+            kernel.lifecycle.assign_trace(trace, start, end, skew=2.0)
+            results[stealing] = kernel.run()
         assert results[True].completions.tail < results[False].completions.tail
         assert results[True].shuttles.steals > 0
 
@@ -259,10 +292,10 @@ class TestBatteryManagement:
             recharge_seconds=120.0,
             seed=30,
         )
-        sim, report = _run(config, args)
-        assert sim.recharges > 0
+        kernel, report = _run(config, args)
+        assert kernel.ctx.counters.recharges.value > 0
         assert report.requests_completed == report.requests_submitted
-        for shuttle_sim in sim.shuttles:
+        for shuttle_sim in kernel.robotics.shuttles:
             # No shuttle ran to empty and kept working.
             assert shuttle_sim.shuttle.battery_joules >= 0
 
@@ -271,5 +304,5 @@ class TestBatteryManagement:
         config = SimConfig(
             num_platters=400, battery_management=False, seed=31
         )
-        sim, report = _run(config, args)
-        assert sim.recharges == 0
+        kernel, report = _run(config, args)
+        assert kernel.ctx.counters.recharges.value == 0

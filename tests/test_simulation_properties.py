@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.sim import LibrarySimulation, SimConfig
+from repro.core.sim import SimConfig, SimKernel
 from repro.workload.generator import WorkloadGenerator
 
 
@@ -46,10 +46,10 @@ def _run_scenario(params):
         unavailable_fraction=params["unavailable"],
         seed=params["seed"],
     )
-    sim = LibrarySimulation(config)
-    sim.assign_trace(trace, start, end)
-    report = sim.run()
-    return sim, report
+    kernel = SimKernel(config)
+    kernel.lifecycle.assign_trace(trace, start, end)
+    report = kernel.run()
+    return kernel, report
 
 
 @settings(
@@ -59,9 +59,9 @@ def _run_scenario(params):
 )
 @given(scenario)
 def test_every_request_completes_exactly_once(params):
-    sim, report = _run_scenario(params)
+    kernel, report = _run_scenario(params)
     assert report.requests_completed == report.requests_submitted
-    for request in sim.all_requests:
+    for request in kernel.lifecycle.all_requests:
         assert request.done, request
         assert request.completion >= request.arrival
 
@@ -73,7 +73,7 @@ def test_every_request_completes_exactly_once(params):
 )
 @given(scenario)
 def test_drive_accounting_conserves(params):
-    sim, report = _run_scenario(params)
+    kernel, report = _run_scenario(params)
     total = report.simulated_seconds
     for util in report.per_drive_utilization:
         busy = util.read_seconds + util.verify_seconds + util.switch_seconds
@@ -91,11 +91,11 @@ def test_drive_accounting_conserves(params):
 def test_platters_end_at_fixed_home_slots(params):
     """Section 6: platter locations are fixed — after the run drains, every
     available platter sits in its original slot."""
-    sim, _report = _run_scenario(params)
+    kernel, _report = _run_scenario(params)
     if params["policy"] == "ns":
         return  # NS never physically moves platters
-    for platter, home in sim._home_slot.items():
-        located = sim.layout.locate(platter)
+    for platter, home in kernel.robotics.home_slot.items():
+        located = kernel.robotics.layout.locate(platter)
         assert located == home, (platter, located, home)
 
 
@@ -107,7 +107,7 @@ def test_platters_end_at_fixed_home_slots(params):
 @given(scenario)
 def test_bytes_read_cover_all_tracks(params):
     """Bytes scanned equal the sum over served (sub-)requests' tracks."""
-    sim, report = _run_scenario(params)
-    leaf_requests = [r for r in sim.all_requests if not r.children]
-    expected = sum(r.num_tracks for r in leaf_requests) * sim.config.track_read_bytes
+    kernel, report = _run_scenario(params)
+    leaf_requests = [r for r in kernel.lifecycle.all_requests if not r.children]
+    expected = sum(r.num_tracks for r in leaf_requests) * kernel.config.track_read_bytes
     assert report.bytes_read == pytest.approx(expected, rel=1e-9)

@@ -43,7 +43,6 @@ from typing import Dict, Iterator, List, Tuple
 _KERNEL_INTERNALS = (
     "context",
     "dispatch",
-    "facade",
     "faults",
     "kernel",
     "lifecycle",
